@@ -10,13 +10,12 @@ log|det A|.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteState, SingularMatrix, TooFewSamples
-from .statespace import argmax_onehot_feedback, simulate, simulate_closed_loop
+from .errors import SingularMatrix, TooFewSamples
+from .statespace import argmax_onehot_feedback, rollout
 
 # ---------------------------------------------------------------------------
 # projections
@@ -25,13 +24,17 @@ from .statespace import argmax_onehot_feedback, simulate, simulate_closed_loop
 
 @dataclass(frozen=True)
 class Projection:
-    """Named map from (state, output) to a scalar."""
+    """Named map from (state, output) to a scalar.
+
+    ``fn`` reduces the last axis and broadcasts over leading ones, so one
+    call projects every step of every row of a stacked simulation.
+    """
 
     name: str
     fn: callable = field(repr=False)
 
     def __call__(self, state, output):
-        return float(self.fn(state, output))
+        return np.asarray(self.fn(state, output), dtype=float)
 
 
 def make_projection(spec, direction=None) -> Projection:
@@ -43,15 +46,15 @@ def make_projection(spec, direction=None) -> Projection:
     if isinstance(spec, Projection):
         return spec
     if spec == "state_mean":
-        return Projection("state_mean", lambda x, y: np.mean(x))
+        return Projection("state_mean", lambda x, y: np.mean(x, axis=-1))
     if spec.startswith("output"):
         idx = int(spec.split(":", 1)[1]) if ":" in spec else 0
-        return Projection(f"output:{idx}", lambda x, y: y[idx])
+        return Projection(f"output:{idx}", lambda x, y: y[..., idx])
     if spec == "state_dot":
         if direction is None:
             raise ValueError("state_dot projection needs a direction vector")
         d = np.asarray(direction, dtype=float)
-        return Projection("state_dot", lambda x, y: float(np.dot(x, d)))
+        return Projection("state_dot", lambda x, y: x @ d)
     raise ValueError(f"unknown projection {spec!r}")
 
 
@@ -87,44 +90,57 @@ class BifurcationDiagram:
             if s.diverged:
                 lines.append(f"{s.sweep_value!r},diverged,diverged")
                 continue
+            sweep = repr(float(s.sweep_value))
             for p, dp in zip(s.p, s.dp):
-                lines.append(f"{s.sweep_value!r},{p!r},{dp!r}")
+                lines.append(f"{sweep},{float(p)!r},{float(dp)!r}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
-def _steady_state(model, u, x0, burn_in, record, projection, feedback=None):
+def _steady_states(model, sweep, u, x0, burn_in, record, projection, feedback=None):
+    """Steady-state samples of every row of a model stacking the sweep.
+
+    All rows are simulated together from x0 under the constant input u
+    (or, with feedback, a loop seeded by u); the projection is applied to
+    the whole recorded block at once.
+    """
     total = burn_in + record
-    try:
-        if feedback is None:
-            inputs = np.tile(np.asarray(u, dtype=float).reshape(model.input_dim), (total, 1))
-            traj = simulate(model, x0, inputs)
-        else:
-            traj = simulate_closed_loop(model, x0, u, total, feedback)
-    except NonFiniteState as err:
-        return None, err.step
-    start = max(burn_in - 1, 0)
-    p_all = np.array(
-        [projection(traj.states[t], traj.outputs[t]) for t in range(start, total)]
-    )
-    if burn_in >= 1:
-        # p_all[0] is the last burn-in point, kept only to difference against
-        p = p_all[1:]
-        dp = p_all[1:] - p_all[:-1]
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (len(sweep), model.state_dim))
+    u = np.asarray(u, dtype=float).reshape(model.input_dim)
+    if feedback is None:
+        run = rollout(model, x0, np.tile(u, (total, 1)))
     else:
-        p = p_all
-        dp = np.concatenate([[0.0], p_all[1:] - p_all[:-1]])
-    return (p, dp), None
+        run = rollout(model, x0, u, total, feedback)
+    start = max(burn_in - 1, 0)
+    p_all = projection(run.states[start:], run.outputs[start:])   # (steps, P)
+    samples = []
+    for i, s in enumerate(sweep):
+        if run.diverged[i]:
+            samples.append(SteadyStateSamples(
+                s, np.empty(0), np.empty(0), True, int(run.diverged_at[i])))
+            continue
+        p_row = p_all[:, i]
+        if burn_in >= 1:
+            # p_row[0] is the last burn-in point, kept only to difference against
+            p = p_row[1:]
+            dp = p_row[1:] - p_row[:-1]
+        else:
+            p = p_row
+            dp = np.concatenate([[0.0], p_row[1:] - p_row[:-1]])
+        samples.append(SteadyStateSamples(s, p, dp))
+    return samples
 
 
 def bifurcation_sweep(model_family, s_values, u_const, x0, burn_in=100,
-                      record=100, projection="output:0", threads=1) -> BifurcationDiagram:
-    """Steady-state samples of ``model_family(s)`` for each sweep value.
+                      record=100, projection="output:0") -> BifurcationDiagram:
+    """Steady-state samples of the model family for each sweep value.
 
-    For each s the model is simulated ``burn_in + record`` steps from x0
-    under the constant input; the last ``record`` projected values and
-    their first differences are recorded.  Divergent sweep values are
-    kept as markers so the rest of the diagram still renders.
+    ``model_family`` is called once, with the (P, 1) column of sweep
+    values, and returns the model stacking all of them.  Each is simulated
+    ``burn_in + record`` steps from x0 under the constant input; the last
+    ``record`` projected values and their first differences are recorded.
+    Divergent sweep values are kept as markers so the rest of the diagram
+    still renders.
     """
     if record < 1:
         raise ValueError("record must be >= 1")
@@ -132,20 +148,8 @@ def bifurcation_sweep(model_family, s_values, u_const, x0, burn_in=100,
         raise ValueError("burn_in must be >= 0")
     proj = make_projection(projection)
     s_values = [float(s) for s in s_values]
-    x0 = np.asarray(x0, dtype=float)
-
-    def run(s):
-        model = model_family(s)
-        got, step = _steady_state(model, u_const, x0, burn_in, record, proj)
-        if got is None:
-            return SteadyStateSamples(s, np.empty(0), np.empty(0), True, step)
-        return SteadyStateSamples(s, got[0], got[1])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(run, s_values))
-    else:
-        samples = [run(s) for s in s_values]
+    model = model_family(np.array(s_values)[:, None])
+    samples = _steady_states(model, s_values, u_const, x0, burn_in, record, proj)
     cfg = {
         "burn_in": burn_in,
         "record": record,
@@ -156,39 +160,27 @@ def bifurcation_sweep(model_family, s_values, u_const, x0, burn_in=100,
 
 
 def epoch_bifurcation(snapshots, base_model, u_const, x0, burn_in=1200,
-                      record=200, projection="output:0", feedback="none",
-                      threads=1) -> BifurcationDiagram:
+                      record=200, projection="output:0",
+                      feedback="none") -> BifurcationDiagram:
     """Bifurcation diagram over training epochs.
 
-    ``snapshots`` is a list of (epoch, flat theta).  With
-    ``feedback="argmax"`` the simulation runs closed-loop, feeding back a
-    one-hot of the largest output; the supplied constant input seeds the
-    loop.
+    ``snapshots`` is a list of (epoch, flat theta); one model stacks all
+    of them.  With ``feedback="argmax"`` the simulation runs closed-loop,
+    feeding back a one-hot of the largest output; the supplied constant
+    input seeds the loop.
     """
     snapshots = list(snapshots)
     if not snapshots:
         raise ValueError("need at least one snapshot")
     proj = make_projection(projection)
-    x0 = np.asarray(x0, dtype=float)
     fb = None
     if feedback == "argmax":
         fb = argmax_onehot_feedback(base_model.input_dim)
     elif feedback not in (None, "none"):
         raise ValueError("feedback must be 'none' or 'argmax'")
-
-    def run(item):
-        epoch, theta = item
-        model = base_model.with_params(theta)
-        got, step = _steady_state(model, u_const, x0, burn_in, record, proj, fb)
-        if got is None:
-            return SteadyStateSamples(float(epoch), np.empty(0), np.empty(0), True, step)
-        return SteadyStateSamples(float(epoch), got[0], got[1])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(run, snapshots))
-    else:
-        samples = [run(item) for item in snapshots]
+    epochs = [float(e) for e, _ in snapshots]
+    model = base_model.with_params(np.stack([theta for _, theta in snapshots]))
+    samples = _steady_states(model, epochs, u_const, x0, burn_in, record, proj, fb)
     cfg = {
         "burn_in": burn_in,
         "record": record,
@@ -196,9 +188,7 @@ def epoch_bifurcation(snapshots, base_model, u_const, x0, burn_in=1200,
         "sweep_kind": "epoch",
         "feedback": feedback,
     }
-    return BifurcationDiagram(
-        sweep=[float(e) for e, _ in snapshots], samples=samples, config=cfg
-    )
+    return BifurcationDiagram(sweep=epochs, samples=samples, config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ contract:
 * ``OrthogonalRnnCell``  a vanilla cell whose recurrent matrix is the
   exponential of a skew-symmetric matrix, hence exactly orthogonal
 
-Besides the single-point step/output/jacobians used by the analyses,
-cells provide batched forward/backward passes used by the training
-harness; the backward pass is verified against forward sensitivity
-propagation in the test suite.
+``step`` and ``output`` broadcast over a leading axis of P stacked points:
+the state may be (P, N_x) and the parameters (P, N_theta), as built by
+``with_params`` from a matrix of parameter vectors.  ``jacobians`` is
+single-point.  Cells also provide batched forward/backward passes used by
+the training harness, where a batch of sequences shares one theta; the
+backward pass is verified against forward sensitivity propagation in the
+test suite.
 """
 
 from __future__ import annotations
@@ -78,11 +81,12 @@ def realize_orthogonal(s_raw):
     Only the strictly lower triangle of ``s_raw`` is used, so the free
     parameters are the n(n-1)/2 entries below the diagonal.  The result
     satisfies W^T W = I to rounding because exp of a skew-symmetric
-    matrix is exactly orthogonal in exact arithmetic.
+    matrix is exactly orthogonal in exact arithmetic.  A stack of
+    (..., n, n) matrices gives the stack of their exponentials.
     """
     s_raw = np.asarray(s_raw, dtype=float)
     low = np.tril(s_raw, -1)
-    return expm(low - low.T)
+    return expm(low - np.swapaxes(low, -1, -2))
 
 
 def orthogonal_tangent(s_raw, ds_raw):
@@ -95,6 +99,18 @@ def orthogonal_tangent(s_raw, ds_raw):
 
 def _pack_skew(H):
     return np.tril_indices(H, -1)
+
+
+def _matvec(W, v):
+    """W v over leading axes: a shared 2-D W, or one W per stacked point.
+
+    A shared W keeps ``v @ W.T``, one GEMM for a whole batch of states; a
+    stacked (P, m, n) W multiplies row by row with ``matmul``, which rounds
+    exactly as ``v @ W.T`` does for the reference cell (``einsum`` does not).
+    """
+    if W.ndim == 2:
+        return v @ W.T
+    return (W @ v[..., None])[..., 0]
 
 
 def _outer_block(coef, v):
@@ -127,14 +143,7 @@ class _ReadoutMixin:
         h = self._hidden_of(np.asarray(x, dtype=float))
         if self.readout == "identity":
             return h.copy()
-        W_out = self.params.get("W_out")
-        b_out = self.params.get("b_out")
-        return W_out @ h + b_out
-
-    def output_batch(self, h):
-        if self.readout == "identity":
-            return h
-        return h @ self.params.get("W_out").T + self.params.get("b_out")
+        return _matvec(self.params.get("W_out"), h) + self.params.get("b_out")
 
     def _readout_jacobians(self, x):
         """C (N_y, N_x) and F (N_y, N_theta) of the output map."""
@@ -237,9 +246,9 @@ class VanillaRnnCell(_ReadoutMixin, DynamicalModel):
         return self.params.get("W")
 
     def _pre(self, h, z):
-        pre = h @ self._recurrent_matrix().T
+        pre = _matvec(self._recurrent_matrix(), h)
         if self.n_input > 0:
-            pre = pre + z @ self.params.get("U").T
+            pre = pre + _matvec(self.params.get("U"), z)
         if self.bias:
             pre = pre + self.params.get("b")
         return pre
@@ -277,7 +286,7 @@ class VanillaRnnCell(_ReadoutMixin, DynamicalModel):
             hs[t] = h
             if t + 1 < T:
                 h = np.tanh(self._pre(h, Z[:, t]))
-        return hs, self.output_batch(hs), {"hs": hs, "Z": Z}
+        return hs, self.output(hs, None), {"hs": hs, "Z": Z}
 
     def backward_batch(self, cache, dY):
         hs, Z = cache["hs"], cache["Z"]
@@ -361,8 +370,10 @@ class OrthogonalRnnCell(VanillaRnnCell):
 
     def skew_matrix(self):
         H = self.n_hidden
-        S = np.zeros((H, H))
-        S[_pack_skew(H)] = self.params.get("S_raw")
+        raw = self.params.get("S_raw")
+        S = np.zeros(raw.shape[:-1] + (H, H))
+        rows, cols = _pack_skew(H)
+        S[..., rows, cols] = raw
         return S
 
     def _recurrent_matrix(self):
@@ -472,9 +483,9 @@ class LstmCell(_ReadoutMixin, DynamicalModel):
         return x[..., :H], x[..., H:]
 
     def _pre(self, k, h, z):
-        pre = h @ self.params.get(f"W_h{k}").T
+        pre = _matvec(self.params.get(f"W_h{k}"), h)
         if self.n_input > 0:
-            pre = pre + z @ self.params.get(f"U_{k}").T
+            pre = pre + _matvec(self.params.get(f"U_{k}"), z)
         if self.bias:
             pre = pre + self.params.get(f"b_{k}")
         return pre
@@ -566,7 +577,7 @@ class LstmCell(_ReadoutMixin, DynamicalModel):
                 gates[t, 0], gates[t, 1], gates[t, 2], gates[t, 3] = i, f, a, o
                 c = f * c + i * a
                 h = o * np.tanh(c)
-        return hs, self.output_batch(hs), {"hs": hs, "cs": cs, "gates": gates, "Z": Z}
+        return hs, self.output(hs, None), {"hs": hs, "cs": cs, "gates": gates, "Z": Z}
 
     def backward_batch(self, cache, dY):
         hs, cs, gates, Z = cache["hs"], cache["cs"], cache["gates"], cache["Z"]

@@ -1,11 +1,11 @@
 """Command-line frontend: every analysis as a reproducible, file-emitting command.
 
 Commands: simulate, bifurcate, landscape, train, smoothness, entropy,
-lyapunov.  Shared flags: --config (strict JSON document), --seed, --out,
---threads.  Exit codes: 0 ok, 2 config error, 3 numerical divergence,
-4 I/O error.  Every output file embeds the resolved-config hash, the
-seed and the package version, so re-running a command reproduces its
-outputs byte for byte.
+lyapunov.  Shared flags: --config (strict JSON document), --seed, --out.
+Exit codes: 0 ok, 2 config error, 3 numerical divergence, 4 I/O error.
+Every output file embeds the resolved-config hash, the seed and the
+package version, so re-running a command reproduces its outputs byte for
+byte.
 """
 
 from __future__ import annotations
@@ -171,6 +171,26 @@ def _resolve_model(args, config, seed):
     return cell, cell.initial_state(), desc
 
 
+def _resolve_x0(args, config, model, default):
+    """Initial state from --x0 or the config key ``x0``, else ``default``.
+
+    The value is a comma-separated list (or, in a config, a JSON list) of
+    exactly ``model.state_dim`` numbers.
+    """
+    value = _resolve(args, config, "x0")
+    try:
+        if value is None:
+            x0 = np.asarray(default, dtype=float)
+        else:
+            x0 = np.asarray(value if isinstance(value, list) else _parse_floats(value),
+                            dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"x0 must be a list of numbers: {err}") from None
+    if x0.shape != (model.state_dim,):
+        raise ConfigError(f"x0 needs {model.state_dim} values, got {x0.size}")
+    return x0
+
+
 def _constant_inputs(model, value, steps):
     if model.input_dim == 0:
         return np.zeros((steps, 0))
@@ -201,9 +221,7 @@ def cmd_simulate(args):
     scale = _resolve(args, config, "scale")
     if scale is not None:
         model = model.with_params(float(scale) * model.params.values)
-    x0_arg = _resolve(args, config, "x0")
-    if x0_arg is not None:
-        x0 = np.asarray(_parse_floats(x0_arg), dtype=float)
+    x0 = _resolve_x0(args, config, model, x0)
     inputs = _constant_inputs(model, _resolve(args, config, "input"), steps)
 
     resolved = {"command": "simulate", "steps": steps, "scale": scale,
@@ -225,7 +243,7 @@ def cmd_simulate(args):
 
 _BIF_KEYS = ("weights", "cell", "hidden", "inputs", "readout", "outputs",
              "sweep", "range", "points", "burn_in", "record", "projection",
-             "feedback", "input", "x0", "run_dir", "seed", "out", "threads")
+             "feedback", "input", "x0", "run_dir", "seed", "out")
 
 
 def cmd_bifurcate(args):
@@ -235,7 +253,6 @@ def cmd_bifurcate(args):
     burn_in = int(_resolve(args, config, "burn_in", 100))
     record = int(_resolve(args, config, "record", 100))
     projection = _resolve(args, config, "projection", "output:0")
-    threads = int(_resolve(args, config, "threads", 1))
     feedback = _resolve(args, config, "feedback", "none")
 
     if sweep_kind == "s":
@@ -246,16 +263,15 @@ def cmd_bifurcate(args):
         theta0 = model.params.values.copy()
         u_value = _resolve(args, config, "input")
         u = _constant_inputs(model, u_value, 1)[0]
-        x0_arg = _resolve(args, config, "x0")
-        if x0_arg is not None:
-            x0 = np.asarray(_parse_floats(x0_arg), dtype=float)
+        x0 = _resolve_x0(args, config, model, x0)
         resolved = {"command": "bifurcate", "sweep": "s", "range": [lo, hi],
                     "points": points, "burn_in": burn_in, "record": record,
-                    "projection": projection, "seed": seed, **desc}
+                    "projection": projection, "x0": x0.tolist(), "seed": seed,
+                    **desc}
         diagram = bifurcation_sweep(
             lambda s: model.with_params(s * theta0),
             s_values, u, x0, burn_in=burn_in, record=record,
-            projection=projection, threads=threads,
+            projection=projection,
         )
     elif sweep_kind == "epoch":
         run_dir = _resolve(args, config, "run_dir")
@@ -268,16 +284,16 @@ def cmd_bifurcate(args):
         pairs = [(e, c.params.values) for e, c in snapshots]
         u_value = _resolve(args, config, "input")
         u = _constant_inputs(base, u_value, 1)[0]
-        x0 = base.initial_state()
-        x0_arg = _resolve(args, config, "x0")
-        if x0_arg is not None:
-            x0 = np.asarray(_parse_floats(x0_arg), dtype=float)
-        resolved = {"command": "bifurcate", "sweep": "epoch", "run_dir": run_dir,
-                    "burn_in": burn_in, "record": record, "feedback": feedback,
-                    "projection": projection, "seed": seed}
+        x0 = _resolve_x0(args, config, base, base.initial_state())
+        # the snapshots, not where the run directory lies, identify the sweep
+        snapshot_hashes = [[e, c.params.theta_hash()] for e, c in snapshots]
+        resolved = {"command": "bifurcate", "sweep": "epoch",
+                    "snapshots": snapshot_hashes, "burn_in": burn_in,
+                    "record": record, "feedback": feedback,
+                    "projection": projection, "x0": x0.tolist(), "seed": seed}
         diagram = epoch_bifurcation(
             pairs, base, u, x0, burn_in=burn_in, record=record,
-            projection=projection, feedback=feedback, threads=threads,
+            projection=projection, feedback=feedback,
         )
     else:
         raise ConfigError("--sweep must be 's' or 'epoch'")
@@ -303,7 +319,7 @@ def cmd_bifurcate(args):
 
 _LAND_KEYS = ("weights", "cell", "hidden", "inputs", "readout", "outputs",
               "along", "range", "resolution", "steps", "loss", "grad",
-              "input", "x0", "seed", "out", "threads")
+              "input", "x0", "seed", "out")
 
 
 def cmd_landscape(args):
@@ -314,7 +330,7 @@ def cmd_landscape(args):
     along = str(_resolve(args, config, "along", "true"))
     loss = LOSSES[_resolve(args, config, "loss", "squared_error")]
     with_grad = bool(_resolve(args, config, "grad", False))
-    threads = int(_resolve(args, config, "threads", 1))
+    x0 = _resolve_x0(args, config, model, x0)
 
     inputs = _constant_inputs(model, _resolve(args, config, "input"), steps)
     data_traj = simulate(model, x0, inputs)
@@ -345,12 +361,12 @@ def cmd_landscape(args):
 
     resolved = {"command": "landscape", "along": along, "range": ranges,
                 "resolution": resolution, "steps": steps, "loss": loss.kind,
-                "grad": with_grad, "seed": seed, **desc}
+                "grad": with_grad, "x0": x0.tolist(), "seed": seed, **desc}
     meta = _meta(resolved, seed)
 
     grid = landscape_sweep(
         lambda theta: model.with_params(theta), dataset, loss,
-        axes, ranges, resolution, with_gradient=with_grad, threads=threads,
+        axes, ranges, resolution, with_gradient=with_grad,
     )
     out = _outdir(args)
     grid.to_csv(os.path.join(out, "landscape.csv"), meta=meta)
@@ -454,10 +470,9 @@ def cmd_smoothness(args):
         L_y=float(_resolve(args, config, "Ly", 1.0)),
         M_scale=float(_resolve(args, config, "M_scale", 1.0)),
     )
-    resolved = {"command": "smoothness", "inputs": bound_report(c)["inputs"],
-                "seed": seed}
-    meta = _meta(resolved, seed)
-    doc = {**meta, **bound_report(c)}
+    report = bound_report(c)
+    resolved = {"command": "smoothness", "inputs": report["inputs"], "seed": seed}
+    doc = {**_meta(resolved, seed), **report}
     out = _outdir(args)
     path = os.path.join(out, "smoothness.json")
     _write_json(path, doc)
@@ -515,13 +530,11 @@ def cmd_lyapunov(args):
         model = model.with_params(float(scale) * model.params.values)
     burn_in = int(_resolve(args, config, "burn_in", 100))
     horizon = int(_resolve(args, config, "horizon", 1000))
-    x0_arg = _resolve(args, config, "x0")
-    if x0_arg is not None:
-        x0 = np.asarray(_parse_floats(x0_arg), dtype=float)
+    x0 = _resolve_x0(args, config, model, x0)
     u = _constant_inputs(model, _resolve(args, config, "input"), 1)[0]
 
     resolved = {"command": "lyapunov", "scale": scale, "burn_in": burn_in,
-                "horizon": horizon, "seed": seed, **desc}
+                "horizon": horizon, "x0": x0.tolist(), "seed": seed, **desc}
     meta = _meta(resolved, seed)
     value = lyapunov_exponent(model, x0, u, burn_in=burn_in, horizon=horizon)
     doc = {**meta, "lyapunov_exponent": float(value)}
@@ -541,7 +554,6 @@ def _add_shared(p):
     p.add_argument("--config", help="JSON config document (strict keys)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=None, help="worker pool cap")
 
 
 def _add_model_flags(p):

@@ -3,12 +3,14 @@
 Every cell stores its weights in one flat float64 vector; a layout maps
 block names (e.g. ``"W_hi"``) to (offset, shape) slices.  Keeping the
 vector flat makes parameter rays ``s * theta``, finite differences and
-optimizer updates trivial.
+optimizer updates trivial.  A (P, N_theta) matrix stacks P such vectors,
+one per row, so that a sweep can step all of its points at once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +21,7 @@ class BlockSpec:
     name: str
     offset: int
     shape: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape, dtype=int)) if self.shape else 1
+    size: int  # number of entries, stored so that lookups do no arithmetic
 
 
 class ParameterLayout:
@@ -33,7 +32,7 @@ class ParameterLayout:
         offset = 0
         for name, shape in blocks:
             shape = tuple(int(s) for s in shape)
-            spec = BlockSpec(name, offset, shape)
+            spec = BlockSpec(name, offset, shape, math.prod(shape))
             specs.append(spec)
             offset += spec.size
         self.blocks = tuple(specs)
@@ -57,21 +56,24 @@ class ParameterLayout:
 
 
 class ParameterVector:
-    """A flat float64 vector plus its block layout.
+    """A flat float64 vector, or a (P, N_theta) stack of them, plus its layout.
 
     Mutating methods return new vectors; the underlying array is owned by
     this object and callers must not write through views obtained from
-    :meth:`get`.
+    :meth:`get`.  With stacked values every block carries the leading
+    axis: :meth:`get` returns a (P, *shape) view.
     """
 
     def __init__(self, layout: ParameterLayout, values=None):
         self.layout = layout
         if values is None:
             values = np.zeros(layout.size)
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size != layout.size:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2:
+            values = values.ravel()
+        if values.shape[-1] != layout.size:
             raise ValueError(
-                f"expected {layout.size} values for layout, got {values.size}"
+                f"expected {layout.size} values for layout, got {values.shape[-1]}"
             )
         self.values = values
 
@@ -84,15 +86,18 @@ class ParameterVector:
 
     def get(self, name: str) -> np.ndarray:
         b = self.layout.spec(name)
-        return self.values[b.offset : b.offset + b.size].reshape(b.shape)
+        lead = self.values.shape[:-1]
+        return self.values[..., b.offset : b.offset + b.size].reshape(lead + b.shape)
 
     def with_block(self, name: str, block) -> "ParameterVector":
         b = self.layout.spec(name)
+        lead = self.values.shape[:-1]
         block = np.asarray(block, dtype=float)
-        if block.shape != b.shape:
-            raise ValueError(f"block {name} expects shape {b.shape}, got {block.shape}")
+        if block.shape != lead + b.shape:
+            raise ValueError(
+                f"block {name} expects shape {lead + b.shape}, got {block.shape}")
         values = self.values.copy()
-        values[b.offset : b.offset + b.size] = block.ravel()
+        values[..., b.offset : b.offset + b.size] = block.reshape(lead + (b.size,))
         return ParameterVector(self.layout, values)
 
     def with_values(self, values) -> "ParameterVector":

@@ -79,7 +79,11 @@ def _as_dataset(dataset):
 
 @dataclass(frozen=True)
 class LossFunction:
-    """Pointwise loss with its derivative in the first argument."""
+    """Pointwise loss with its derivative in the first argument.
+
+    ``value`` reduces over the last (output) axis and broadcasts over any
+    leading ones.
+    """
 
     kind: str
     value: callable = field(repr=False)
@@ -88,7 +92,7 @@ class LossFunction:
 
 def _sq_value(yhat, y):
     d = yhat - y
-    return float(np.dot(d, d))
+    return np.sum(d * d, axis=-1)
 
 
 def _sq_derivative(yhat, y):
@@ -101,7 +105,7 @@ def _softplus(x):
 
 def _xent_value(yhat, y):
     # -y log sigmoid(yhat) - (1-y) log(1 - sigmoid(yhat)), stable form
-    return float(np.sum(y * _softplus(-yhat) + (1.0 - y) * _softplus(yhat)))
+    return np.sum(y * _softplus(-yhat) + (1.0 - y) * _softplus(yhat), axis=-1)
 
 
 def _xent_derivative(yhat, y):
@@ -159,26 +163,39 @@ def propagate_sensitivity(model, x0, inputs):
 # ---------------------------------------------------------------------------
 
 
-def _sequence_cost(model, seq, loss):
-    traj = simulate(model, seq.start_state(model), seq.inputs)
-    if traj.outputs.shape[1] != seq.targets.shape[1]:
+def sequence_costs(outputs, seq, loss):
+    """Masked average loss of simulated outputs (n, *rows, N_y) per row.
+
+    Steps are summed in time order, so every row of a stacked simulation
+    gets exactly the cost a single simulation of that row gets.
+    """
+    if outputs.shape[-1] != seq.targets.shape[1]:
         raise LengthMismatch(
-            f"model outputs {traj.outputs.shape[1]} values, targets have "
+            f"model outputs {outputs.shape[-1]} values, targets have "
             f"{seq.targets.shape[1]}"
         )
     idx = np.flatnonzero(seq.mask)
     if idx.size == 0:
         raise LengthMismatch("mask selects no steps")
-    total = 0.0
-    for t in idx:
-        total += loss.value(traj.outputs[t], seq.targets[t])
-    return total / idx.size
+    rows = outputs.shape[1:-1]
+    targets = seq.targets[idx].reshape((idx.size,) + (1,) * len(rows) + (-1,))
+    if idx.size < len(outputs):
+        outputs = outputs[idx]
+    per_step = loss.value(outputs, targets)
+    return np.add.accumulate(per_step, axis=0)[-1] / idx.size
+
+
+def mean_over_sequences(costs):
+    """Uniform average of per-sequence costs, summed in dataset order."""
+    return np.add.accumulate(np.asarray(costs), axis=0)[-1] / len(costs)
 
 
 def cost(model, dataset, loss=SQUARED_ERROR):
     """Masked per-sequence average loss, averaged uniformly over sequences."""
     dataset = _as_dataset(dataset)
-    return float(np.mean([_sequence_cost(model, s, loss) for s in dataset]))
+    costs = [sequence_costs(simulate(model, s.start_state(model), s.inputs).outputs,
+                            s, loss) for s in dataset]
+    return float(mean_over_sequences(costs))
 
 
 def _sequence_gradient(model, seq, loss):

@@ -15,13 +15,20 @@ parameter rays.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergentCost, NonFiniteState
-from .sensitivity import SQUARED_ERROR, cost, gradient
+from .sensitivity import (
+    SQUARED_ERROR,
+    _as_dataset,
+    cost,
+    gradient,
+    mean_over_sequences,
+    sequence_costs,
+)
+from .statespace import rollout
 
 # ---------------------------------------------------------------------------
 # closed-form bound calculators
@@ -176,6 +183,11 @@ and Lipschitz ratios of such values over pair distances down to 1e-6.
 """
 
 
+def divergent_costs(v):
+    """Where a cost is non-finite or above :data:`DIVERGENT_COST_BOUND`."""
+    return ~np.isfinite(v) | (v > DIVERGENT_COST_BOUND)
+
+
 def checked_cost(model, dataset, loss=SQUARED_ERROR) -> float:
     """Cost of ``model`` on ``dataset``, or :class:`DivergentCost`.
 
@@ -186,9 +198,26 @@ def checked_cost(model, dataset, loss=SQUARED_ERROR) -> float:
         v = cost(model, dataset, loss)
     except NonFiniteState as err:
         raise DivergentCost(f"cost diverged: {err}") from err
-    if not np.isfinite(v) or v > DIVERGENT_COST_BOUND:
+    if divergent_costs(v):
         raise DivergentCost(f"cost {v!r} exceeds {DIVERGENT_COST_BOUND:g}")
     return v
+
+
+def _stacked_costs(model, P, dataset, loss):
+    """Costs of a model stacking P points, and where they diverged.
+
+    One :func:`~rnnlab.statespace.rollout` per sequence steps all points
+    together; each cost equals :func:`cost` of its point alone, and the
+    mask applies the rule of :func:`checked_cost`.
+    """
+    per_seq, diverged = [], np.zeros(P, dtype=bool)
+    for seq in _as_dataset(dataset):
+        x0 = np.broadcast_to(seq.start_state(model), (P, model.state_dim))
+        run = rollout(model, x0, seq.inputs, keep_states=False)
+        per_seq.append(sequence_costs(run.outputs, seq, loss))
+        diverged |= run.diverged
+    v = mean_over_sequences(per_seq)
+    return v, diverged | divergent_costs(v)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +301,10 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
 # ---------------------------------------------------------------------------
 
 
+STACKED_FLOATS = 2 ** 22
+"""Floats a landscape pass may stack (32 MB): a theta and an output per step, per point."""
+
+
 @dataclass
 class LandscapeGrid:
     """Cost over a 1-D or 2-D grid of parameter-ray coordinates.
@@ -319,12 +352,17 @@ class LandscapeGrid:
 
 
 def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
-                    with_gradient=False, threads=1) -> LandscapeGrid:
+                    with_gradient=False) -> LandscapeGrid:
     """Cost over theta(s) = sum_i s_i * axis_i.
 
     ``axes`` is a list of 1 or 2 (name, direction-vector) pairs; ranges
-    and resolution apply per axis.  ``model_family`` maps a flat theta to
-    a model.
+    and resolution apply per axis.  ``model_family`` is called with a
+    (P, N_theta) matrix of grid points and returns the model stacking
+    them; the costs of all P come from one pass over the stack.  A grid
+    larger than :data:`STACKED_FLOATS` allows is cut into blocks of rows,
+    one call each; every grid of the paper's figures is one block.  Gradients are computed point by
+    point, at the non-divergent points only, on ``with_params`` of the
+    point's theta.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("need 1 or 2 axes")
@@ -336,46 +374,37 @@ def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
     dirs = [np.asarray(a[1], dtype=float) for a in axes]
     coords = [np.linspace(lo, hi, r) for (lo, hi), r in zip(ranges, resolution)]
 
-    if len(axes) == 1:
-        points = [(i, s * dirs[0]) for i, s in enumerate(coords[0])]
-        shape = (resolution[0],)
-    else:
-        points = []
-        for i, s1 in enumerate(coords[0]):
-            for j, s2 in enumerate(coords[1]):
-                points.append(((i, j), s1 * dirs[0] + s2 * dirs[1]))
-        shape = tuple(resolution)
-
-    values = np.full(shape, np.nan)
-    gnorms = np.full(shape, np.nan) if with_gradient else None
-    divergent = []
-
-    def run(item):
-        idx, theta = item
-        try:
-            m = model_family(theta)
-            v = checked_cost(m, dataset, loss)
-            g = float(np.linalg.norm(gradient(m, dataset, loss))) if with_gradient else None
-            return idx, v, g
-        except (DivergentCost, NonFiniteState, FloatingPointError):
-            return idx, None, None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, points))
-    else:
-        results = [run(p) for p in points]
-
-    for idx, v, g in results:
-        if v is None:
-            divergent.append(idx)
+    shape = tuple(resolution)
+    grids = [g.reshape(-1, 1) for g in np.meshgrid(*coords, indexing="ij")]
+    dataset = _as_dataset(dataset)
+    n_points = grids[0].shape[0]
+    block = max(1, STACKED_FLOATS // (dirs[0].size + sum(len(q) for q in dataset)))
+    values = np.empty(n_points)
+    divergent = np.empty(n_points, dtype=bool)
+    gnorms = np.full(n_points, np.nan) if with_gradient else None
+    for start in range(0, n_points, block):
+        rows = slice(start, start + block)
+        thetas = grids[0][rows] * dirs[0]
+        if len(axes) == 2:
+            thetas = thetas + grids[1][rows] * dirs[1]
+        model = model_family(thetas)
+        values[rows], divergent[rows] = _stacked_costs(model, len(thetas), dataset, loss)
+        if not with_gradient:
             continue
-        values[idx] = v
-        if with_gradient and g is not None:
-            gnorms[idx] = g
+        for k in np.flatnonzero(~divergent[rows]):
+            try:
+                g = gradient(model.with_params(thetas[k]), dataset, loss)
+            except (NonFiniteState, FloatingPointError):
+                divergent[start + k] = True
+                continue
+            gnorms[start + k] = float(np.linalg.norm(g))
+    values[divergent] = np.nan
+
+    cells = [tuple(int(i) for i in c) for c in np.argwhere(divergent.reshape(shape))]
     return LandscapeGrid(
-        axes_names=names, coords=coords, values=values,
-        gradient_norms=gnorms, divergent=divergent,
+        axes_names=names, coords=coords, values=values.reshape(shape),
+        gradient_norms=gnorms.reshape(shape) if with_gradient else None,
+        divergent=[c[0] for c in cells] if len(shape) == 1 else cells,
     )
 
 

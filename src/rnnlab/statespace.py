@@ -34,8 +34,14 @@ class DynamicalModel:
     ``params`` (a :class:`ParameterVector`) and implement ``step``,
     ``output`` and ``jacobians``.  Models are immutable after
     construction; parameter updates go through :meth:`with_params`,
-    which returns a new model, so instances are safe to share across
-    parallel workers.
+    which returns a new model.
+
+    ``step`` and ``output`` broadcast over a leading axis of P stacked
+    points: the state may be (P, N_x), the parameters (P, N_theta) (from
+    ``with_params`` of a matrix), and the input (N_z,) shared by all rows
+    or (P, N_z).  A sweep calls its model family once, with every point
+    stacked, and steps all of them together through :func:`rollout`.
+    ``jacobians`` is single-point.
     """
 
     state_dim: int
@@ -136,6 +142,104 @@ def _as_input_array(model, inputs):
     return inputs
 
 
+@dataclass
+class Rollout:
+    """States, outputs and inputs of P stacked simulations, time first.
+
+    ``states`` is (n, P, N_x), ``outputs`` (n, P, N_y) and ``inputs``
+    (n, N_z) when shared or (n, P, N_z) under feedback; without a batch
+    axis the P axis is absent.  ``diverged_at[i]`` is the first step at
+    which row i held a NaN/Inf and ``diverged_what[i]`` the quantity
+    ("state", "output" or "input"); -1 and "" for a row that stayed
+    finite.  Entries of a row from its divergence on are unspecified.
+    ``states`` is None when the rollout was asked not to keep them.
+    """
+
+    states: np.ndarray | None
+    outputs: np.ndarray
+    inputs: np.ndarray
+    diverged_at: np.ndarray
+    diverged_what: np.ndarray
+
+    @property
+    def diverged(self):
+        return self.diverged_at >= 0
+
+    def error(self, row=()):
+        """The row's divergence as a :class:`NonFiniteState`, or None."""
+        step = int(self.diverged_at[row])
+        return NonFiniteState(step, self.diverged_what[row]) if step >= 0 else None
+
+
+def rollout(model: DynamicalModel, x0, inputs, horizon=None, feedback=None,
+            keep_states=True) -> Rollout:
+    """Step every row of a stacked state and model together.
+
+    The rows are the leading axis of ``x0``, (P, N_x), or none for a
+    single (N_x,) state; the model's parameters may carry the same P axis.
+    Open loop, ``inputs`` is the (n, N_z) sequence every row shares.  With
+    ``feedback``, ``inputs`` is the first input, (N_z,) or (P, N_z), and
+    ``z[t+1] = feedback(y[t])`` over ``horizon`` steps.
+
+    Each row records the first step at which its output, state or
+    fed-back input holds a NaN/Inf, and the loop stops once every row has.
+    Floating-point warnings are silenced inside: the check reports every
+    non-finite value with its step, and one row's overflow must not stop
+    the others.  ``keep_states=False`` records outputs only, for callers
+    that need nothing else.
+    """
+    x = np.asarray(x0, dtype=float)
+    rows = x.shape[:-1]
+    if feedback is None:
+        inputs = _as_input_array(model, inputs)
+        n = inputs.shape[0]
+        z_shape = None
+    else:
+        n = int(horizon)
+        z = np.asarray(inputs, dtype=float)
+        z_shape = np.broadcast_shapes(z.shape[:-1], rows) + (model.input_dim,)
+        z = np.broadcast_to(z, z_shape)
+        inputs = np.full((n,) + z_shape, np.nan)
+    if n < 1:
+        raise ValueError("need at least one step")
+    states = np.full((n,) + x.shape, np.nan) if keep_states else None
+    outputs = np.full((n,) + rows + (model.output_dim,), np.nan)
+    diverged_at = np.full(rows, -1)
+    diverged_what = np.full(rows, "", dtype=object)
+    alive = np.ones(rows, dtype=bool)
+
+    def any_alive(values, t, what):
+        ok = np.isfinite(values).all(axis=-1)
+        new = alive & ~ok
+        diverged_at[new] = t
+        diverged_what[new] = what
+        np.logical_and(alive, ok, out=alive)
+        return alive.any()
+
+    with np.errstate(all="ignore"):
+        for t in range(n):
+            if keep_states:
+                states[t] = x
+            if z_shape is None:
+                z = inputs[t]
+            else:
+                inputs[t] = z
+            y = model.output(x, z)
+            outputs[t] = y
+            if not np.isfinite(y).all() and not any_alive(y, t, "output"):
+                break
+            if t + 1 == n:
+                break
+            x = model.step(x, z)
+            if not np.isfinite(x).all() and not any_alive(x, t + 1, "state"):
+                break
+            if z_shape is not None:
+                z = np.asarray(feedback(y), dtype=float).reshape(z_shape)
+                if not np.isfinite(z).all() and not any_alive(z, t + 1, "input"):
+                    break
+    return Rollout(states, outputs, inputs, diverged_at, diverged_what)
+
+
 def simulate(model: DynamicalModel, x0, inputs) -> Trajectory:
     """Run the model forward for ``len(inputs)`` steps.
 
@@ -146,25 +250,7 @@ def simulate(model: DynamicalModel, x0, inputs) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.state_dim,):
         raise ValueError(f"x0 must have length {model.state_dim}")
-    inputs = _as_input_array(model, inputs)
-    n = inputs.shape[0]
-    if n < 1:
-        raise ValueError("need at least one input step")
-
-    states = np.empty((n, model.state_dim))
-    outputs = np.empty((n, model.output_dim))
-    x = x0
-    for t in range(n):
-        states[t] = x
-        y = model.output(x, inputs[t])
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(t, "output")
-        outputs[t] = y
-        if t + 1 < n:
-            x = model.step(x, inputs[t])
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState(t + 1)
-    return Trajectory(states=states, outputs=outputs, inputs=inputs)
+    return _trajectory(rollout(model, x0, inputs))
 
 
 def simulate_closed_loop(model, x0, z0, horizon, feedback) -> Trajectory:
@@ -174,39 +260,23 @@ def simulate_closed_loop(model, x0, z0, horizon, feedback) -> Trajectory:
     ``(x, y)`` plays the role of an extended state, so attractors of this
     loop may differ from those of the constant-input map.
     """
-    x0 = np.asarray(x0, dtype=float)
-    z = np.asarray(z0, dtype=float).reshape(model.input_dim)
-    n = int(horizon)
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
-    states = np.empty((n, model.state_dim))
-    outputs = np.empty((n, model.output_dim))
-    inputs = np.empty((n, model.input_dim))
-    x = x0
-    for t in range(n):
-        states[t] = x
-        inputs[t] = z
-        y = model.output(x, z)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(t, "output")
-        outputs[t] = y
-        if t + 1 < n:
-            x = model.step(x, z)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState(t + 1)
-            z = np.asarray(feedback(y), dtype=float).reshape(model.input_dim)
-            if not np.all(np.isfinite(z)):
-                raise NonFiniteState(t + 1, "input")
-    return Trajectory(states=states, outputs=outputs, inputs=inputs)
+    z0 = np.asarray(z0, dtype=float).reshape(model.input_dim)
+    return _trajectory(rollout(model, x0, z0, horizon, feedback))
+
+
+def _trajectory(run: Rollout) -> Trajectory:
+    err = run.error()
+    if err is not None:
+        raise err
+    return Trajectory(states=run.states, outputs=run.outputs, inputs=run.inputs)
 
 
 def argmax_onehot_feedback(n_inputs: int):
-    """Feedback map: one-hot of the largest output coordinate."""
+    """Feedback map: one-hot of the largest output coordinate, per row."""
+    eye = np.eye(n_inputs)
 
     def fb(y):
-        z = np.zeros(n_inputs)
-        z[int(np.argmax(y[:n_inputs] if len(y) >= n_inputs else y))] = 1.0
-        return z
+        return eye[np.argmax(y[..., :n_inputs], axis=-1)]
 
     return fb
 

@@ -39,12 +39,15 @@ class ScalarLinear(DynamicalModel):
 
 
 class FixedScalarLinear(ScalarLinear):
-    """x' = a * x with a frozen (empty theta); y = x."""
+    """x' = a * x with a frozen (empty theta); y = x.
+
+    ``a`` may be a (P, 1) column, one factor per stacked row.
+    """
 
     name = "fixed_scalar_linear"
 
     def __init__(self, a):
-        self.a = float(a)
+        self.a = np.asarray(a, dtype=float)
         self.params = ParameterVector(ParameterLayout([]), np.zeros(0))
         self.state_dim = 1
         self.input_dim = 0
@@ -158,7 +161,10 @@ class RotationMap(DynamicalModel):
 
 
 class LogisticMap(DynamicalModel):
-    """x' = r * x * (1 - x), the textbook period-doubling family."""
+    """x' = r * x * (1 - x), the textbook period-doubling family.
+
+    ``r`` may be a (P, 1) column, one rate per stacked row.
+    """
 
     name = "logistic"
 
@@ -171,8 +177,8 @@ class LogisticMap(DynamicalModel):
         self.output_dim = 1
 
     def step(self, x, z):
-        r = self.params.values[0]
-        return np.array([r * x[0] * (1.0 - x[0])])
+        x = np.asarray(x, dtype=float)
+        return self.params.values * x * (1.0 - x)
 
     def output(self, x, z):
         return np.asarray(x, dtype=float).copy()

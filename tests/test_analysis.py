@@ -10,8 +10,9 @@ from rnnlab.analysis import (
     hadamard_chain,
     make_projection,
 )
-from rnnlab.cells import chaotic_reference_cell
-from rnnlab.errors import SingularMatrix, TooFewSamples
+from rnnlab.cells import chaotic_reference_cell, make_cell
+from rnnlab.errors import NonFiniteState, SingularMatrix, TooFewSamples
+from rnnlab.statespace import argmax_onehot_feedback, simulate, simulate_closed_loop
 
 from helpers import FixedScalarLinear, LogisticMap
 
@@ -111,12 +112,8 @@ def test_reference_band_has_multi_point_sets():
 
 
 def test_divergent_sweep_value_is_marked_not_fatal():
-    class Exploding(FixedScalarLinear):
-        def step(self, x, z):
-            return 10.0 * np.asarray(x, dtype=float)
-
     def family(s):
-        return Exploding(0.5) if s > 0.5 else FixedScalarLinear(0.5)
+        return FixedScalarLinear(np.where(s > 0.5, 10.0, 0.5))
 
     with np.errstate(over="ignore"):
         diag = bifurcation_sweep(family, [0.0, 1.0], np.zeros(0),
@@ -126,18 +123,65 @@ def test_divergent_sweep_value_is_marked_not_fatal():
     assert diag.samples[1].diverged_step is not None
 
 
-def test_sweep_threads_do_not_change_result():
+def _single_point_samples(model, x0, burn_in, record, u=None, feedback=None):
+    """p and dp of one model, simulated alone (burn_in >= 1)."""
+    total = burn_in + record
+    if feedback is None:
+        traj = simulate(model, x0, np.zeros((total, model.input_dim)))
+    else:
+        traj = simulate_closed_loop(model, x0, u, total, feedback)
+    p_all = traj.outputs[burn_in - 1:, 0]
+    return p_all[1:], p_all[1:] - p_all[:-1]
+
+
+def test_batched_sweep_equals_single_points_bitwise_on_reference_ray():
     cell = chaotic_reference_cell()
     theta = cell.params.values
-    family = lambda s: cell.with_params(s * theta)
-    svals = np.linspace(0.1, 1.2, 12)
-    d1 = bifurcation_sweep(family, svals, np.zeros(0), X0_REF,
-                           burn_in=50, record=20, threads=1)
-    d4 = bifurcation_sweep(family, svals, np.zeros(0), X0_REF,
-                           burn_in=50, record=20, threads=4)
-    for a, b in zip(d1.samples, d4.samples):
-        assert np.array_equal(a.p, b.p)
-        assert np.array_equal(a.dp, b.dp)
+    svals = np.linspace(0.1, 1.6, 16)
+    diag = bifurcation_sweep(lambda s: cell.with_params(s * theta), svals,
+                             np.zeros(0), X0_REF, burn_in=50, record=20)
+    for s, samp in zip(svals, diag.samples):
+        p, dp = _single_point_samples(cell.with_params(s * theta), X0_REF, 50, 20)
+        assert not samp.diverged
+        assert np.array_equal(samp.p, p)
+        assert np.array_equal(samp.dp, dp)
+
+
+def test_batched_sweep_reports_each_divergent_row_with_its_step():
+    svals = [0.2, 0.7, 0.9, 1.2]
+    growth = {0.2: 0.5, 0.7: 10.0, 0.9: 1e3, 1.2: 0.9}
+    family = lambda s: FixedScalarLinear(np.vectorize(growth.get)(s))
+    diag = bifurcation_sweep(family, svals, np.zeros(0), np.array([1e300]),
+                             burn_in=5, record=5)
+    for s, samp in zip(svals, diag.samples):
+        try:
+            with np.errstate(over="ignore"):
+                p, dp = _single_point_samples(FixedScalarLinear(growth[s]),
+                                              np.array([1e300]), 5, 5)
+        except NonFiniteState as err:
+            assert samp.diverged and samp.diverged_step == err.step
+            continue
+        assert not samp.diverged
+        assert np.array_equal(samp.p, p) and np.array_equal(samp.dp, dp)
+    # 1e300 overflows once 10^k or 1e3^k passes 1e8
+    assert [samp.diverged_step for samp in diag.samples] == [None, 9, 3, None]
+
+
+def test_batched_epoch_sweep_equals_single_closed_loops():
+    cell = make_cell("lstm", 4, n_input=3, bias=True, readout="linear",
+                     n_output=3, init_seed=0)
+    rng = np.random.default_rng(5)
+    thetas = [cell.params.values + 0.3 * rng.standard_normal(cell.n_params)
+              for _ in range(4)]
+    u = np.array([1.0, 0.0, 0.0])
+    diag = epoch_bifurcation(list(enumerate(thetas)), cell, u, np.zeros(8),
+                             burn_in=20, record=10, feedback="argmax")
+    fb = argmax_onehot_feedback(3)
+    for theta, samp in zip(thetas, diag.samples):
+        p, dp = _single_point_samples(cell.with_params(theta), np.zeros(8), 20, 10,
+                                      u=u, feedback=fb)
+        assert np.allclose(samp.p, p, rtol=0, atol=1e-13)
+        assert np.allclose(samp.dp, dp, rtol=0, atol=1e-13)
 
 
 def test_epoch_bifurcation_over_snapshots():
@@ -176,6 +220,8 @@ def test_diagram_csv_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().strip().split("\n")
     assert lines[1] == "sweep,p,dp"
+    rows = [[float(field) for field in line.split(",")] for line in lines[2:]]
+    assert rows == [[1.0, p, dp] for p, dp in zip(diag.samples[0].p, diag.samples[0].dp)]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,36 @@ def test_scaled_weights_reproduce_regimes():
     assert len(np.unique(tail)) > 50
 
 
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+def test_stacked_step_and_output_equal_per_row_calls(kind):
+    cell = make_cell(kind, 3, n_input=2, bias=True, readout="linear", n_output=2,
+                     init_seed=4)
+    rng = np.random.default_rng(9)
+    thetas = cell.params.values + 0.2 * rng.standard_normal((5, cell.n_params))
+    x = rng.standard_normal((5, cell.state_dim))
+    stacked = cell.with_params(thetas)
+    for z in (rng.standard_normal(2), rng.standard_normal((5, 2))):
+        steps, outputs = stacked.step(x, z), stacked.output(x, z)
+        for i in range(5):
+            one = cell.with_params(thetas[i])
+            z_i = z if z.ndim == 1 else z[i]
+            assert np.allclose(steps[i], one.step(x[i], z_i), rtol=1e-13, atol=1e-15)
+            assert np.allclose(outputs[i], one.output(x[i], z_i), rtol=1e-13, atol=1e-15)
+
+
+def test_stacked_reference_cell_steps_bitwise_like_single_rows():
+    cell = chaotic_reference_cell()
+    scales = np.linspace(0.2, 1.6, 8)[:, None]
+    stacked = cell.with_params(scales * cell.params.values)
+    singles = [cell.with_params(s * cell.params.values) for s in scales[:, 0]]
+    x = np.tile(CHAOTIC_REFERENCE_STATE, (len(singles), 1))
+    xs = [CHAOTIC_REFERENCE_STATE] * len(singles)
+    for _ in range(300):
+        x = stacked.step(x, np.zeros(0))
+        xs = [m.step(xi, np.zeros(0)) for m, xi in zip(singles, xs)]
+        assert np.array_equal(x, np.array(xs))
+
+
 # ---------------------------------------------------------------------------
 # Jacobians
 # ---------------------------------------------------------------------------

@@ -1,5 +1,23 @@
-from rnnlab import cli
+import json
+import shutil
+from importlib.resources import files
+
+import numpy as np
+
+from rnnlab import cli, smoothness
 from rnnlab.errors import DivergentCost
+
+REFERENCE = str(files("rnnlab").joinpath("data", "chaotic_lstm_2x2.json"))
+X0 = "0.5,0.5,0.5,0.5"
+
+
+def run(argv, out):
+    return cli.main(list(argv) + ["--out", str(out)])
+
+
+def read_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [[float(v) for v in ln.split(",")] for ln in lines[1:]]
 
 
 def test_divergent_cost_exits_numeric(monkeypatch, capsys):
@@ -9,3 +27,87 @@ def test_divergent_cost_exits_numeric(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_lyapunov", diverge)
     assert cli.main(["lyapunov"]) == cli.EXIT_NUMERIC
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_landscape_starts_every_point_from_x0(tmp_path):
+    argv = ["landscape", "--weights", REFERENCE, "--range", "0:1.6",
+            "--resolution", "17", "--steps", "40"]
+    assert run(argv, tmp_path / "zero") == cli.EXIT_OK
+    assert run(argv + ["--x0", X0], tmp_path / "x0") == cli.EXIT_OK
+    zero = read_rows(tmp_path / "zero" / "landscape.csv")
+    from_x0 = read_rows(tmp_path / "x0" / "landscape.csv")
+    # zeros are a fixed point of the reference at every s: V = 0 throughout
+    assert all(v == 0.0 for _, v in zero)
+    assert [s for s, _ in from_x0] == [s for s, _ in zero]
+    assert from_x0[10][0] == 1.0 and from_x0[10][1] == 0.0
+    assert all(v > 0.0 for s, v in from_x0 if s != 1.0)
+    hashes = [(tmp_path / d / "landscape.csv").read_text().splitlines()[0]
+              for d in ("zero", "x0")]
+    assert hashes[0] != hashes[1]
+
+
+def test_x0_of_the_wrong_length_is_a_config_error(tmp_path, capsys):
+    for argv in (["simulate", "--weights", REFERENCE, "--x0", "1,2"],
+                 ["landscape", "--weights", REFERENCE, "--x0", "1,2"],
+                 ["bifurcate", "--weights", REFERENCE, "--x0", "1,2"],
+                 ["lyapunov", "--weights", REFERENCE, "--x0", "1,x,2,3"]):
+        assert run(argv, tmp_path) == cli.EXIT_CONFIG
+        assert "config error: x0" in capsys.readouterr().err
+
+
+def test_threads_are_gone(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"weights": REFERENCE, "threads": 2}))
+    assert run(["landscape", "--config", str(config)], tmp_path) == cli.EXIT_CONFIG
+    assert run(["bifurcate", "--config", str(config)], tmp_path) == cli.EXIT_CONFIG
+
+
+def test_landscape_and_bifurcate_rerun_byte_identical(tmp_path):
+    commands = {
+        "landscape": ["landscape", "--weights", REFERENCE, "--range", "0.8:1.2",
+                      "--resolution", "9", "--steps", "30", "--x0", X0],
+        "bifurcate": ["bifurcate", "--weights", REFERENCE, "--range", "0.8:1.6",
+                      "--points", "5", "--burn-in", "10", "--record", "6", "--x0", X0],
+    }
+    for name, argv in commands.items():
+        assert run(argv, tmp_path / name / "a") == cli.EXIT_OK
+        assert run(argv, tmp_path / name / "b") == cli.EXIT_OK
+        written = sorted(p.name for p in (tmp_path / name / "a").iterdir())
+        assert written
+        for fname in written:
+            a = (tmp_path / name / "a" / fname).read_bytes()
+            assert a == (tmp_path / name / "b" / fname).read_bytes()
+    rows = read_rows(tmp_path / "bifurcate" / "a" / "bifurcation.csv")
+    assert len(rows) == 5 * 6
+
+
+def test_epoch_diagram_does_not_depend_on_where_the_run_lies(tmp_path):
+    assert run(["train", "--task", "sine", "--cell", "lstm", "--hidden", "2",
+                "--epochs", "1", "--seed", "3"], tmp_path / "run") == cli.EXIT_OK
+    shutil.copytree(tmp_path / "run", tmp_path / "elsewhere" / "run")
+    outputs = []
+    for run_dir in (tmp_path / "run", tmp_path / "elsewhere" / "run"):
+        out = tmp_path / "diagram" / str(len(outputs))
+        assert run(["bifurcate", "--sweep", "epoch", "--run-dir", str(run_dir),
+                    "--burn-in", "5", "--record", "4", "--input", "0.07"],
+                   out) == cli.EXIT_OK
+        outputs.append(out)
+    for fname in ("bifurcation.csv", "bifurcation.svg"):
+        assert (outputs[0] / fname).read_bytes() == (outputs[1] / fname).read_bytes()
+    assert len(read_rows(outputs[0] / "bifurcation.csv")) == 2 * 4
+
+
+def test_smoothness_evaluates_the_bound_once(tmp_path, monkeypatch):
+    calls = []
+    bound = smoothness.bound_L_V_prime
+
+    def counted(c):
+        calls.append(c)
+        return bound(c)
+
+    monkeypatch.setattr(smoothness, "bound_L_V_prime", counted)
+    assert run(["smoothness", "--Lf", "0.9", "--N", "50"], tmp_path) == cli.EXIT_OK
+    assert len(calls) == 1
+    doc = json.loads((tmp_path / "smoothness.json").read_text())
+    assert doc["L_V_prime"] == bound(calls[0])
+    assert np.isclose(doc["inputs"]["L_f"], 0.9)

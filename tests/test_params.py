@@ -65,3 +65,20 @@ def test_dict_round_trip_exact():
     pv = ParameterVector(layout, rng.standard_normal(6))
     back = ParameterVector.from_dict(layout, pv.to_dict())
     assert np.array_equal(back.values, pv.values)
+
+
+def test_stacked_values_give_stacked_blocks():
+    layout = ParameterLayout([("W", (2, 3)), ("b", (2,))])
+    rows = np.arange(3 * layout.size, dtype=float).reshape(3, layout.size)
+    pv = ParameterVector(layout, rows)
+    for i in range(3):
+        one = ParameterVector(layout, rows[i])
+        for name in ("W", "b"):
+            assert pv.get(name).shape == (3,) + layout.spec(name).shape
+            assert np.array_equal(pv.get(name)[i], one.get(name))
+    b = np.ones((3, 2))
+    assert np.array_equal(pv.with_block("b", b).get("b"), b)
+    with pytest.raises(ValueError):
+        pv.with_block("b", np.ones(2))
+    with pytest.raises(ValueError):
+        ParameterVector(layout, np.zeros((3, layout.size + 1)))

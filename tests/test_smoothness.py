@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rnnlab.sensitivity import SQUARED_ERROR, Sequence
+from rnnlab import smoothness
+from rnnlab.errors import DivergentCost, NonFiniteState
+from rnnlab.sensitivity import SQUARED_ERROR, Sequence, gradient
 from rnnlab.smoothness import (
     LandscapeGrid,
     SmoothnessConstants,
@@ -9,6 +11,7 @@ from rnnlab.smoothness import (
     bound_L_V_prime,
     bound_S,
     bound_report,
+    checked_cost,
     empirical_lipschitz_V,
     landscape_sweep,
     local_minima_census,
@@ -254,17 +257,73 @@ def test_divergent_grid_points_are_marked():
     assert np.isnan(grid.values[[i for (i,) in [(d,) if np.isscalar(d) else d for d in grid.divergent]]]).all()
 
 
-def test_sweep_threads_identical():
-    theta_star = np.array([1.0])
-    n = 20
+def _single_points(family, dataset, thetas, with_gradient):
+    """Cost, gradient norm and divergence of each theta evaluated alone."""
+    values, norms, divergent = [], [], []
+    for theta in thetas:
+        model = family(theta)
+        try:
+            values.append(checked_cost(model, dataset))
+            norms.append(float(np.linalg.norm(gradient(model, dataset)))
+                         if with_gradient else np.nan)
+            divergent.append(False)
+        except (DivergentCost, NonFiniteState):
+            values.append(np.nan)
+            norms.append(np.nan)
+            divergent.append(True)
+    return np.array(values), np.array(norms), np.array(divergent)
+
+
+def test_batched_landscape_equals_single_points_with_divergence():
+    n = 500
     ds = [Sequence(np.ones((n, 1)), np.zeros(n), x0=np.array([0.0]))]
-    g1 = landscape_sweep(lambda th: DrivenScalar(th, a=0.5), ds, SQUARED_ERROR,
-                         axes=[("true", theta_star)], ranges=[(0.0, 2.0)],
-                         resolution=50, threads=1)
-    g3 = landscape_sweep(lambda th: DrivenScalar(th, a=0.5), ds, SQUARED_ERROR,
-                         axes=[("true", theta_star)], ranges=[(0.0, 2.0)],
-                         resolution=50, threads=3)
-    assert np.array_equal(g1.values, g3.values)
+    family = lambda th: DrivenScalar(th, a=1.6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = landscape_sweep(family, ds, SQUARED_ERROR, axes=[("true", np.array([1.0]))],
+                               ranges=[(-1e-49, 1e-49)], resolution=21,
+                               with_gradient=True)
+        values, norms, divergent = _single_points(
+            family, ds, grid.coords[0][:, None], with_gradient=True)
+    assert 0 < divergent.sum() < divergent.size
+    assert grid.divergent == [int(i) for i in np.flatnonzero(divergent)]
+    assert np.array_equal(grid.values, values, equal_nan=True)
+    assert np.array_equal(grid.gradient_norms, norms, equal_nan=True)
+
+
+def test_batched_landscape_equals_single_points_bitwise_on_reference_ray():
+    from rnnlab.cells import chaotic_reference_cell
+    from rnnlab.statespace import simulate
+
+    cell = chaotic_reference_cell()
+    x0 = np.array([0.5, 0.5, 0.5, 0.5])
+    inputs = np.zeros((200, 0))
+    ds = [Sequence(inputs=inputs, targets=simulate(cell, x0, inputs).outputs, x0=x0)]
+    theta = cell.params.values
+    grid = landscape_sweep(cell.with_params, ds, SQUARED_ERROR, axes=[("true", theta)],
+                           ranges=[(0.0, 1.6)], resolution=33)
+    values, _, divergent = _single_points(
+        cell.with_params, ds, grid.coords[0][:, None] * theta, with_gradient=False)
+    assert not divergent.any() and grid.divergent == []
+    assert np.array_equal(grid.values, values)
+    assert grid.coords[0][20] == 1.0 and grid.values[20] == 0.0
+
+
+def test_large_grid_is_cut_into_blocks_with_the_same_result(monkeypatch):
+    ds = [Sequence(np.ones((10, 1)), np.linspace(0.0, 1.0, 10), x0=np.array([0.2]))]
+    calls = []
+
+    def family(thetas):
+        calls.append(len(thetas))
+        return DrivenScalar(thetas, a=0.7)
+
+    kwargs = dict(axes=[("true", np.array([1.0])), ("random", np.array([0.3]))],
+                  ranges=[(0.0, 2.0), (-1.0, 1.0)], resolution=[9, 7])
+    whole = landscape_sweep(family, ds, SQUARED_ERROR, **kwargs)
+    assert calls == [63]
+    monkeypatch.setattr(smoothness, "STACKED_FLOATS", 11 * 20)  # 1 + 10 per point
+    blocks = landscape_sweep(family, ds, SQUARED_ERROR, **kwargs)
+    assert calls[1:] == [20, 20, 20, 3]
+    assert np.array_equal(whole.values, blocks.values)
 
 
 def test_grid_csv_export(tmp_path):

@@ -9,6 +9,7 @@ from rnnlab.statespace import (
     find_fixed_points,
     lipschitz_region_from_trajectory,
     lyapunov_exponent,
+    rollout,
     simulate,
     simulate_closed_loop,
 )
@@ -85,6 +86,45 @@ def test_closed_loop_argmax_feedback_is_one_hot():
     for t in range(1, len(traj)):
         row = traj.inputs[t]
         assert row.sum() == 1.0 and set(np.unique(row)) <= {0.0, 1.0}
+
+
+def test_rollout_of_one_state_is_simulate():
+    cell = chaotic_reference_cell()
+    run = rollout(cell, X0_REF, np.zeros((50, 0)))
+    traj = simulate(cell, X0_REF, np.zeros((50, 0)))
+    assert np.array_equal(run.states, traj.states)
+    assert np.array_equal(run.outputs, traj.outputs)
+    assert run.diverged_at == -1 and run.error() is None
+
+
+def test_rollout_records_each_row_and_stops_when_all_diverged():
+    model = FixedScalarLinear(np.array([[10.0], [1e3], [0.5]]))
+    x0 = np.array([[1e300], [1e300], [1.0]])
+    run = rollout(model, x0, np.zeros((40, 0)))
+    assert run.diverged_at.tolist() == [9, 3, -1]
+    assert run.diverged_what.tolist() == ["state", "state", ""]
+    assert str(run.error(1)) == "non-finite state at step 3"
+    assert np.array_equal(run.states[:, 2, 0], 0.5 ** np.arange(40))
+
+    both = rollout(FixedScalarLinear(np.array([[10.0], [1e3]])), x0[:2],
+                   np.zeros((40, 0)))
+    assert both.diverged_at.tolist() == [9, 3]
+    assert np.isnan(both.states[9:]).all()   # never written: the loop stopped
+
+
+def test_closed_loop_rows_report_a_non_finite_input():
+    model = FeedthroughMap(dim=1)
+    feedback = lambda y: 1e200 * y   # row 0 overflows at once, row 1 by step 3
+    x0 = np.array([[1e110], [1e-210]])
+    run = rollout(model, x0, np.zeros(1), horizon=3, feedback=feedback)
+    assert run.diverged_at.tolist() == [1, -1]
+    assert run.diverged_what.tolist() == ["input", ""]
+    with pytest.raises(NonFiniteState) as err:
+        simulate_closed_loop(model, x0[0], np.zeros(1), 3, feedback)
+    assert (err.value.step, err.value.what) == (1, "input")
+    one = simulate_closed_loop(model, x0[1], np.zeros(1), 3, feedback)
+    assert np.array_equal(run.outputs[:, 1], one.outputs)
+    assert np.array_equal(run.inputs[:, 1], one.inputs)
 
 
 # ---------------------------------------------------------------------------
