@@ -82,11 +82,8 @@ from .training import (
     TrainConfig,
     TrainRun,
     clip_global_norm,
-    evaluate,
     load_run,
     save_run,
     snapshot_epochs,
-    snapshot_schedule,
-    teacher_forcing_wrap,
     train,
 )

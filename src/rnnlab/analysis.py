@@ -219,9 +219,11 @@ class AttractorClass:
 
 
 def classify_attractor(samples, tol=1e-6, lyapunov=None) -> AttractorClass:
-    """Classify steady-state samples rounded to a tol-grid.
+    """Classify steady-state samples by the distinct values they visit.
 
-    One distinct value -> fixed point; k distinct values recurring with
+    Sorted samples closer than ``tol`` to their neighbour count as one
+    value, so a value is never split by where it falls on a grid.  One
+    distinct value -> fixed point; k distinct values recurring with
     exact period k (k at most half the sample count) -> periodic(k);
     anything else -> quasiperiodic_or_chaotic, with a positive supplied
     Lyapunov exponent marking it chaotic.
@@ -229,8 +231,10 @@ def classify_attractor(samples, tol=1e-6, lyapunov=None) -> AttractorClass:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 8:
         raise TooFewSamples("need at least 8 steady-state samples")
-    keys = np.round(samples / tol).astype(np.int64)
-    n_distinct = len(np.unique(keys))
+    order = np.argsort(samples, kind="stable")
+    keys = np.empty(samples.size, dtype=np.int64)
+    keys[order] = np.concatenate([[0], np.cumsum(np.diff(samples[order]) > tol)])
+    n_distinct = int(keys.max()) + 1
     if n_distinct == 1:
         return AttractorClass("fixed_point", period=1, n_distinct=1, lyapunov=lyapunov)
     n = keys.size

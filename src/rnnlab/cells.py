@@ -10,6 +10,14 @@ contract:
 * ``OrthogonalRnnCell``  a vanilla cell whose recurrent matrix is the
   exponential of a skew-symmetric matrix, hence exactly orthogonal
 
+One base, ``_Cell``, owns the constructor, the readout, ``with_params``,
+the file format and what the kinds share of the Jacobians and of the
+backward pass.  A kind names its per-gate blocks once (``_W``, ``_U``,
+``_b``).  The LSTM's four gate blocks of each group, ``W_hi..W_ho`` say,
+lie back to back in theta as before, so it reads each group as one fused
+(4H, ...) matrix (``ParameterVector.get_stacked``) and computes all four
+gates in one product, with no change of layout.
+
 ``step`` and ``output`` broadcast over a leading axis of P stacked points:
 the state may be (P, N_x) and the parameters (P, N_theta), as built by
 ``with_params`` from a matrix of parameter vectors.  ``jacobians`` is
@@ -22,11 +30,13 @@ test suite.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 from scipy.special import expit as sigmoid
 
+from .errors import ConfigError
 from .params import ParameterLayout, ParameterVector
 from .statespace import DynamicalModel
 
@@ -97,10 +107,6 @@ def orthogonal_tangent(s_raw, ds_raw):
     return expm_frechet(low - low.T, dlow - dlow.T, compute_expm=False)
 
 
-def _pack_skew(H):
-    return np.tril_indices(H, -1)
-
-
 def _matvec(W, v):
     """W v over leading axes: a shared 2-D W, or one W per stacked point.
 
@@ -114,27 +120,131 @@ def _matvec(W, v):
 
 
 def _outer_block(coef, v):
-    """Rows a of d(out)/d(W[a, :]) for pre = W v: block[a, a*len(v)+b] = coef[a] v[b]."""
-    H = coef.shape[0]
+    """Jacobian of out[a] = coef[k, a] * (W_k v)[a] in K stacked blocks W_k.
+
+    ``coef`` is (..., K, H) and ``v`` (w,); the K blocks of shape (H, w) lie
+    back to back in theta, as :meth:`ParameterLayout.stacked` reads them.
+    Row a of the (..., H) rows, flattened, has coef[k, a] v[b] at column
+    (k, a, b) and zeros elsewhere.  A bias is the case v = [1], and the
+    linear readout the case K = 1, coef = 1.
+    """
+    *lead, K, H = coef.shape
     w = v.shape[0]
-    block = np.zeros((H, H * w))
-    for a in range(H):
-        block[a, a * w : (a + 1) * w] = coef[a] * v
-    return block
+    block = np.zeros((*lead, H, K, H, w))
+    # the entries whose two row indices agree, written through a diagonal view
+    np.einsum("...akab->...akb", block)[...] = np.swapaxes(coef, -1, -2)[..., None] * v
+    return block.reshape(-1, K * H * w)
+
+
+_ONE = np.ones(1)
 
 
 # ---------------------------------------------------------------------------
-# readout plumbing shared by all cells
+# the shared cell base
 # ---------------------------------------------------------------------------
 
 
-class _ReadoutMixin:
-    """y = h (identity) or y = W_out h + b_out (linear, params in theta)."""
+class _Cell(DynamicalModel):
+    """What every cell kind shares: constructor, readout, blocks and gradients.
+
+    A kind names its per-gate blocks once, in ``_W`` (recurrent, (H, H)),
+    ``_U`` (input, (H, N_z), when there are inputs) and ``_b`` (bias, (H,),
+    when ``bias``, which defaults to the kind's ``_BIAS_DEFAULT``).  Each
+    group lies back to back in theta, so the maps read it as one fused
+    (K*H, ...) matrix of the K gates.  ``_blocks`` lays the groups out and
+    ``_init_params``, run only with an ``init_seed`` (theta is zero
+    otherwise), draws orthogonal W and Gaussian U; b stays zero.  A linear
+    readout y = W_out h + b_out adds its blocks after them and draws W_out
+    last; the identity readout y = h has none.  ``_CONFIG`` names the
+    constructor arguments that, with theta, describe a cell: ``with_params``
+    and the cell file format are built from it.
+    """
+
+    _CONFIG = ("n_hidden", "n_input", "bias", "readout", "n_output")
+    _W, _U, _b = ("W",), ("U",), ("b",)
+    _BIAS_DEFAULT = True
+    _STATE_PER_UNIT = 1  # state entries per hidden unit
+
+    def __init__(self, n_hidden, n_input=0, bias=None, readout="identity",
+                 n_output=None, params=None, init_seed=None):
+        if readout not in ("identity", "linear"):
+            raise ValueError("readout must be 'identity' or 'linear'")
+        self.n_hidden = H = int(n_hidden)
+        self.n_input = int(n_input)
+        self.bias = self._BIAS_DEFAULT if bias is None else bool(bias)
+        self.readout = readout
+        self.n_output = int(n_output) if n_output is not None else H
+        self.state_dim = self._STATE_PER_UNIT * H
+        self.input_dim = self.n_input
+        self.output_dim = self.n_output if readout == "linear" else H
+
+        if not isinstance(params, ParameterVector):
+            layout = ParameterLayout(self._blocks() + self._readout_blocks())
+            if params is not None:
+                params = ParameterVector(layout, params)
+            else:
+                params = ParameterVector(layout)
+                if init_seed is not None:
+                    rng = np.random.default_rng(init_seed)
+                    params = self._init_params(params, rng)
+                    if readout == "linear":
+                        params = params.with_block(
+                            "W_out", rng.normal(0.0, 1.0 / np.sqrt(H),
+                                                size=(self.n_output, H)))
+        self.params = params
+
+    def _config(self):
+        return {k: getattr(self, k) for k in self._CONFIG}
+
+    def with_params(self, values):
+        params = ParameterVector(self.params.layout, np.asarray(values, dtype=float))
+        return type(self)(params=params, **self._config())
+
+    # ---- parameter blocks ----
+
+    def _blocks(self):
+        H = self.n_hidden
+        return [(name, (H, H)) for name in self._W] + self._drive_blocks()
+
+    def _drive_blocks(self):
+        H = self.n_hidden
+        blocks = []
+        if self.n_input > 0:
+            blocks += [(name, (H, self.n_input)) for name in self._U]
+        if self.bias:
+            blocks += [(name, (H,)) for name in self._b]
+        return blocks
 
     def _readout_blocks(self):
         if self.readout == "linear":
             return [("W_out", (self.n_output, self.n_hidden)), ("b_out", (self.n_output,))]
         return []
+
+    def _init_params(self, params, rng):
+        for name in self._W:
+            params = params.with_block(name, orthogonal_init(rng, self.n_hidden))
+        return self._init_drive(params, rng)
+
+    def _init_drive(self, params, rng):
+        if self.n_input > 0:
+            for name in self._U:
+                params = params.with_block(name, rng.normal(
+                    0.0, 1.0 / np.sqrt(self.n_input), size=(self.n_hidden, self.n_input)))
+        return params
+
+    # ---- maps ----
+
+    def _recurrent_matrix(self):
+        return self.params.get_stacked(self._W)
+
+    def _pre(self, h, z):
+        """Pre-activations of the K gates, (..., K*H)."""
+        pre = _matvec(self._recurrent_matrix(), h)
+        if self.n_input > 0:
+            pre = pre + _matvec(self.params.get_stacked(self._U), z)
+        if self.bias:
+            pre += self.params.get_stacked(self._b)
+        return pre
 
     def _hidden_of(self, x):
         return x[..., : self.n_hidden]
@@ -145,47 +255,71 @@ class _ReadoutMixin:
             return h.copy()
         return _matvec(self.params.get("W_out"), h) + self.params.get("b_out")
 
-    def _readout_jacobians(self, x):
-        """C (N_y, N_x) and F (N_y, N_theta) of the output map."""
-        H = self.n_hidden
+    def jacobians(self, x, z):
+        x = np.asarray(x, dtype=float)
+        A, B = self._state_jacobians(x, np.asarray(z, dtype=float))
         C = np.zeros((self.output_dim, self.state_dim))
         F = np.zeros((self.output_dim, self.n_params))
         if self.readout == "identity":
-            C[:, :H] = np.eye(H)
-            return C, F
-        W_out = self.params.get("W_out")
-        C[:, :H] = W_out
-        h = self._hidden_of(x)
-        sl = self.params.layout.slice("W_out")
-        Fw = F[:, sl]
-        for a in range(self.output_dim):
-            Fw[a, a * H : (a + 1) * H] = h
-        F[:, self.params.layout.slice("b_out")] = np.eye(self.output_dim)
-        return C, F
+            C[:, : self.n_hidden] = np.eye(self.n_hidden)
+        else:
+            C[:, : self.n_hidden] = self.params.get("W_out")
+            ones = np.ones((1, self.output_dim))
+            layout = self.params.layout
+            F[:, layout.slice("W_out")] = _outer_block(ones, self._hidden_of(x))
+            F[:, layout.slice("b_out")] = _outer_block(ones, _ONE)
+        return A, B, C, F
 
-    def _readout_backward(self, dY, hs, grads):
-        """Map per-step output gradients to hidden-state gradients.
+    def _param_jacobian(self, coef, h, z):
+        """B = d x'/d theta from coef = d x'/d pre, (..., K, H) for the K gates."""
+        B = np.zeros((self.state_dim, self.n_params))
+        layout = self.params.layout
+        self._recurrent_param_jacobian(B, coef, h)
+        if self.n_input > 0:
+            B[:, layout.stacked(self._U).span] = _outer_block(coef, z)
+        if self.bias:
+            B[:, layout.stacked(self._b).span] = _outer_block(coef, _ONE)
+        return B
 
-        dY: (T, B, N_y), hs: (T, B, H).  Returns dH (T, B, H) and adds
-        readout-weight gradients into ``grads`` when the readout is linear.
+    def _recurrent_param_jacobian(self, B, coef, h):
+        B[:, self.params.layout.stacked(self._W).span] = _outer_block(coef, h)
+
+    # ---- batched backward pass ----
+
+    def _backward_start(self, dY, hs):
+        """Zero gradients and the per-step hidden-state gradients.
+
+        dY: (T, B, N_y), hs: (T, B, H).  Returns the flat gradient as a
+        :class:`ParameterVector` whose block views the pass adds into (the
+        readout-weight gradients are in when the readout is linear), a zero
+        gradient of the recurrent matrix, and dH (T, B, H).
         """
+        grad = ParameterVector(self.params.layout)
+        gW = np.zeros(self._recurrent_matrix().shape)
         if self.readout == "identity":
-            return dY
-        W_out = self.params.get("W_out")
-        grads["W_out"] += np.einsum("tby,tbh->yh", dY, hs)
-        grads["b_out"] += dY.sum(axis=(0, 1))
-        return dY @ W_out
+            return grad, gW, dY
+        g_out = grad.get("W_out")
+        g_out += np.einsum("tby,tbh->yh", dY, hs)
+        g_bias = grad.get("b_out")
+        g_bias += dY.sum(axis=(0, 1))
+        return grad, gW, dY @ self.params.get("W_out")
 
+    def _backward_step(self, grad, gW, dpre, h, z):
+        """Add one step's weight gradients for dpre = dL/d pre, (B, K*H); return dL/dh."""
+        gW += dpre.T @ h
+        if self.n_input > 0:
+            gU = grad.get_stacked(self._U)
+            gU += dpre.T @ z
+        if self.bias:
+            gb = grad.get_stacked(self._b)
+            gb += dpre.sum(axis=0)
+        return dpre @ self._recurrent_matrix()
 
-def _init_input_weights(rng, H, Z):
-    return rng.normal(0.0, 1.0 / np.sqrt(max(Z, 1)), size=(H, Z))
-
-
-def _grads_to_flat(layout, grads):
-    flat = np.zeros(layout.size)
-    for name, g in grads.items():
-        flat[layout.slice(name)] = np.asarray(g).ravel()
-    return flat
+    def _backward_end(self, grad, gW):
+        """Add the recurrent-matrix gradient and return the flat gradient."""
+        g = grad.get_stacked(self._W)
+        g += gW
+        return grad.values
 
 
 # ---------------------------------------------------------------------------
@@ -193,87 +327,15 @@ def _grads_to_flat(layout, grads):
 # ---------------------------------------------------------------------------
 
 
-class VanillaRnnCell(_ReadoutMixin, DynamicalModel):
+class VanillaRnnCell(_Cell):
     name = "vanilla"
-
-    def __init__(self, n_hidden, n_input=0, bias=True, readout="identity",
-                 n_output=None, params=None, init_seed=None):
-        self.n_hidden = int(n_hidden)
-        self.n_input = int(n_input)
-        self.bias = bool(bias)
-        self.readout = readout
-        self.n_output = int(n_output) if n_output is not None else self.n_hidden
-        if readout not in ("identity", "linear"):
-            raise ValueError("readout must be 'identity' or 'linear'")
-
-        blocks = [("W", (self.n_hidden, self.n_hidden))]
-        if self.n_input > 0:
-            blocks.append(("U", (self.n_hidden, self.n_input)))
-        if self.bias:
-            blocks.append(("b", (self.n_hidden,)))
-        blocks += self._readout_blocks()
-        layout = ParameterLayout(blocks)
-
-        if params is None:
-            params = ParameterVector(layout)
-            rng = np.random.default_rng(0 if init_seed is None else init_seed)
-            if init_seed is not None:
-                params = params.with_block("W", orthogonal_init(rng, self.n_hidden))
-                if self.n_input > 0:
-                    params = params.with_block(
-                        "U", _init_input_weights(rng, self.n_hidden, self.n_input))
-                if self.readout == "linear":
-                    params = params.with_block(
-                        "W_out",
-                        rng.normal(0.0, 1.0 / np.sqrt(self.n_hidden),
-                                   size=(self.n_output, self.n_hidden)))
-        elif isinstance(params, np.ndarray) or isinstance(params, (list, tuple)):
-            params = ParameterVector(layout, params)
-        self.params = params
-
-        self.state_dim = self.n_hidden
-        self.input_dim = self.n_input
-        self.output_dim = self.n_output if readout == "linear" else self.n_hidden
-
-    def _config(self):
-        return dict(n_hidden=self.n_hidden, n_input=self.n_input, bias=self.bias,
-                    readout=self.readout, n_output=self.n_output)
-
-    def with_params(self, values):
-        return type(self)(params=np.asarray(values, dtype=float), **self._config())
-
-    def _recurrent_matrix(self):
-        return self.params.get("W")
-
-    def _pre(self, h, z):
-        pre = _matvec(self._recurrent_matrix(), h)
-        if self.n_input > 0:
-            pre = pre + _matvec(self.params.get("U"), z)
-        if self.bias:
-            pre = pre + self.params.get("b")
-        return pre
 
     def step(self, x, z):
         return np.tanh(self._pre(np.asarray(x, dtype=float), np.asarray(z, dtype=float)))
 
-    def jacobians(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        W = self._recurrent_matrix()
-        hp = np.tanh(self._pre(x, z))
-        d = 1.0 - hp ** 2
-        A = d[:, None] * W
-        B = np.zeros((self.state_dim, self.n_params))
-        self._recurrent_param_jacobian(B, d, x)
-        if self.n_input > 0:
-            B[:, self.params.layout.slice("U")] = _outer_block(d, z)
-        if self.bias:
-            B[:, self.params.layout.slice("b")] = np.diag(d)
-        C, F = self._readout_jacobians(x)
-        return A, B, C, F
-
-    def _recurrent_param_jacobian(self, B, d, h):
-        B[:, self.params.layout.slice("W")] = _outer_block(d, h)
+    def _state_jacobians(self, x, z):
+        d = 1.0 - np.tanh(self._pre(x, z)) ** 2
+        return d[:, None] * self._recurrent_matrix(), self._param_jacobian(d[None], x, z)
 
     # ---- batched training path ----
 
@@ -290,27 +352,12 @@ class VanillaRnnCell(_ReadoutMixin, DynamicalModel):
 
     def backward_batch(self, cache, dY):
         hs, Z = cache["hs"], cache["Z"]
-        T, B, H = hs.shape
-        layout = self.params.layout
-        grads = {name: np.zeros(layout.spec(name).shape) for name in layout.names()}
-        dH = self._readout_backward(dY, hs, grads)
-
-        W = self._recurrent_matrix()
-        dh = dH[T - 1].copy()
-        gW = np.zeros((H, H))
-        for t in range(T - 2, -1, -1):
+        grad, gW, dH = self._backward_start(dY, hs)
+        dh = dH[-1].copy()
+        for t in range(len(hs) - 2, -1, -1):
             dpre = dh * (1.0 - hs[t + 1] ** 2)
-            gW += dpre.T @ hs[t]
-            if self.n_input > 0:
-                grads["U"] += dpre.T @ Z[:, t]
-            if self.bias:
-                grads["b"] += dpre.sum(axis=0)
-            dh = dpre @ W + dH[t]
-        self._recurrent_grad(grads, gW)
-        return _grads_to_flat(layout, grads)
-
-    def _recurrent_grad(self, grads, gW):
-        grads["W"] += gW
+            dh = self._backward_step(grad, gW, dpre, hs[t], Z[:, t]) + dH[t]
+        return self._backward_end(grad, gW)
 
 
 # ---------------------------------------------------------------------------
@@ -329,87 +376,54 @@ class OrthogonalRnnCell(VanillaRnnCell):
 
     name = "ornn"
 
-    def __init__(self, n_hidden, n_input=0, bias=True, readout="identity",
-                 n_output=None, params=None, init_seed=None):
-        H = int(n_hidden)
-        self._n_skew = H * (H - 1) // 2
-        blocks = [("S_raw", (self._n_skew,))]
-        if int(n_input) > 0:
-            blocks.append(("U", (H, int(n_input))))
-        if bias:
-            blocks.append(("b", (H,)))
-        self.n_hidden = H
-        self.n_input = int(n_input)
-        self.bias = bool(bias)
-        self.readout = readout
-        self.n_output = int(n_output) if n_output is not None else H
-        blocks += self._readout_blocks()
-        layout = ParameterLayout(blocks)
+    def _blocks(self):
+        H = self.n_hidden
+        return [("S_raw", (H * (H - 1) // 2,))] + self._drive_blocks()
 
-        if params is None:
-            params = ParameterVector(layout)
-            if init_seed is not None:
-                rng = np.random.default_rng(init_seed)
-                params = params.with_block(
-                    "S_raw", rng.uniform(-np.pi / H, np.pi / H, size=self._n_skew))
-                if self.n_input > 0:
-                    params = params.with_block("U", _init_input_weights(rng, H, self.n_input))
-                if readout == "linear":
-                    params = params.with_block(
-                        "W_out", rng.normal(0.0, 1.0 / np.sqrt(H),
-                                            size=(self.n_output, H)))
-        elif isinstance(params, (np.ndarray, list, tuple)):
-            params = ParameterVector(layout, params)
-        self.params = params
-
-        self.state_dim = H
-        self.input_dim = self.n_input
-        self.output_dim = self.n_output if readout == "linear" else H
-        self._W_cache = None
-        self._dW_cache = None
+    def _init_params(self, params, rng):
+        H = self.n_hidden
+        params = params.with_block(
+            "S_raw", rng.uniform(-np.pi / H, np.pi / H, size=H * (H - 1) // 2))
+        return self._init_drive(params, rng)
 
     def skew_matrix(self):
         H = self.n_hidden
         raw = self.params.get("S_raw")
         S = np.zeros(raw.shape[:-1] + (H, H))
-        rows, cols = _pack_skew(H)
+        rows, cols = np.tril_indices(H, -1)
         S[..., rows, cols] = raw
         return S
 
+    @cached_property
+    def _orthogonal(self):
+        return realize_orthogonal(self.skew_matrix())
+
     def _recurrent_matrix(self):
-        if self._W_cache is None:
-            self._W_cache = realize_orthogonal(self.skew_matrix())
-        return self._W_cache
+        return self._orthogonal
 
-    def _recurrent_tangents(self):
-        """d W / d S_raw[k] for every packed skew parameter (cached)."""
-        if self._dW_cache is None:
-            H = self.n_hidden
-            low = np.tril(self.skew_matrix(), -1)
-            S = low - low.T
-            rows, cols = _pack_skew(H)
-            tangents = []
-            for i, j in zip(rows, cols):
-                E = np.zeros((H, H))
-                E[i, j] = 1.0
-                E[j, i] = -1.0
-                tangents.append(expm_frechet(S, E, compute_expm=False))
-            self._dW_cache = tangents
-        return self._dW_cache
+    @cached_property
+    def _tangents(self):
+        """d W / d S_raw[k] for every packed skew parameter, (n_skew, H, H)."""
+        H = self.n_hidden
+        S = self.skew_matrix()
+        tangents = []
+        for i, j in zip(*np.tril_indices(H, -1)):
+            E = np.zeros((H, H))
+            E[i, j] = 1.0
+            tangents.append(orthogonal_tangent(S, E))
+        return np.array(tangents).reshape(-1, H, H)
 
-    def _recurrent_param_jacobian(self, B, d, h):
-        sl = self.params.layout.slice("S_raw")
-        col = sl.start
-        for dW in self._recurrent_tangents():
-            B[:, col] = d * (dW @ h)
-            col += 1
+    def _recurrent_param_jacobian(self, B, coef, h):
+        B[:, self.params.layout.slice("S_raw")] = coef[0][:, None] * (self._tangents @ h).T
 
-    def _recurrent_grad(self, grads, gW):
+    def _backward_end(self, grad, gW):
         low = np.tril(self.skew_matrix(), -1)
         S = low - low.T
         gS = expm_frechet(S.T, gW, compute_expm=False)
         gS = gS - gS.T
-        grads["S_raw"] += gS[_pack_skew(self.n_hidden)]
+        g = grad.get("S_raw")
+        g += gS[np.tril_indices(self.n_hidden, -1)]
+        return grad.values
 
 
 # ---------------------------------------------------------------------------
@@ -417,146 +431,83 @@ class OrthogonalRnnCell(VanillaRnnCell):
 # ---------------------------------------------------------------------------
 
 
-class LstmCell(_ReadoutMixin, DynamicalModel):
+def _unstack(gates):
+    """The four gate views i, f, g, o of a (..., 4, H) stack."""
+    return gates[..., 0, :], gates[..., 1, :], gates[..., 2, :], gates[..., 3, :]
+
+
+class LstmCell(_Cell):
     """Gated cell on the stacked state x = [h, c] (so N_x = 2 * N_h).
 
         c' = sigmoid(pre_f) * c + sigmoid(pre_i) * tanh(pre_g)
         h' = sigmoid(pre_o) * tanh(c')
 
     with pre_k = W_hk h + U_k z + b_k; input weights and biases are
-    optional and drop out of the map entirely when disabled.
+    optional and drop out of the map entirely when disabled.  The maps
+    work on the (..., 4, H) stack of gates; forget-gate biases start at 1.
     """
 
     name = "lstm"
     GATES = ("i", "f", "g", "o")
+    _W = tuple(f"W_h{k}" for k in GATES)
+    _U = tuple(f"U_{k}" for k in GATES)
+    _b = tuple(f"b_{k}" for k in GATES)
+    _BIAS_DEFAULT = False
+    _STATE_PER_UNIT = 2
 
-    def __init__(self, n_hidden, n_input=0, bias=False, readout="identity",
-                 n_output=None, params=None, init_seed=None):
-        self.n_hidden = int(n_hidden)
-        self.n_input = int(n_input)
-        self.bias = bool(bias)
-        self.readout = readout
-        self.n_output = int(n_output) if n_output is not None else self.n_hidden
-        H = self.n_hidden
-
-        blocks = [(f"W_h{k}", (H, H)) for k in self.GATES]
-        if self.n_input > 0:
-            blocks += [(f"U_{k}", (H, self.n_input)) for k in self.GATES]
+    def _init_params(self, params, rng):
+        params = super()._init_params(params, rng)
         if self.bias:
-            blocks += [(f"b_{k}", (H,)) for k in self.GATES]
-        blocks += self._readout_blocks()
-        layout = ParameterLayout(blocks)
-
-        if params is None:
-            params = ParameterVector(layout)
-            if init_seed is not None:
-                rng = np.random.default_rng(init_seed)
-                for k in self.GATES:
-                    params = params.with_block(f"W_h{k}", orthogonal_init(rng, H))
-                if self.n_input > 0:
-                    for k in self.GATES:
-                        params = params.with_block(
-                            f"U_{k}", _init_input_weights(rng, H, self.n_input))
-                if self.bias:
-                    params = params.with_block("b_f", np.ones(H))
-                if readout == "linear":
-                    params = params.with_block(
-                        "W_out", rng.normal(0.0, 1.0 / np.sqrt(H),
-                                            size=(self.n_output, H)))
-        elif isinstance(params, (np.ndarray, list, tuple)):
-            params = ParameterVector(layout, params)
-        self.params = params
-
-        self.state_dim = 2 * H
-        self.input_dim = self.n_input
-        self.output_dim = self.n_output if readout == "linear" else H
-
-    def _config(self):
-        return dict(n_hidden=self.n_hidden, n_input=self.n_input, bias=self.bias,
-                    readout=self.readout, n_output=self.n_output)
-
-    def with_params(self, values):
-        return type(self)(params=np.asarray(values, dtype=float), **self._config())
+            params = params.with_block("b_f", np.ones(self.n_hidden))
+        return params
 
     def split_state(self, x):
         H = self.n_hidden
         return x[..., :H], x[..., H:]
 
-    def _pre(self, k, h, z):
-        pre = _matvec(self.params.get(f"W_h{k}"), h)
-        if self.n_input > 0:
-            pre = pre + _matvec(self.params.get(f"U_{k}"), z)
-        if self.bias:
-            pre = pre + self.params.get(f"b_{k}")
-        return pre
-
     def _gates(self, h, z):
-        i = sigmoid(self._pre("i", h, z))
-        f = sigmoid(self._pre("f", h, z))
-        a = np.tanh(self._pre("g", h, z))
-        o = sigmoid(self._pre("o", h, z))
-        return i, f, a, o
+        """Gate activations, stacked as (..., 4, H) in the order i, f, g, o."""
+        pre = self._pre(h, z)
+        gates = pre.reshape(pre.shape[:-1] + (4, self.n_hidden))
+        g = np.tanh(gates[..., 2, :])
+        sigmoid(gates, out=gates)  # in place: one (..., 4H) array less to allocate
+        gates[..., 2, :] = g
+        return gates
 
     def step(self, x, z):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
         h, c = self.split_state(x)
-        i, f, a, o = self._gates(h, z)
+        i, f, a, o = _unstack(self._gates(h, z))
         c_new = f * c + i * a
         h_new = o * np.tanh(c_new)
         return np.concatenate([h_new, c_new], axis=-1)
 
-    def jacobians(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
+    def _state_jacobians(self, x, z):
         H = self.n_hidden
         h, c = self.split_state(x)
-        i, f, a, o = self._gates(h, z)
-        c_new = f * c + i * a
-        tc = np.tanh(c_new)
-        di = i * (1.0 - i)
-        df = f * (1.0 - f)
-        da = 1.0 - a ** 2
-        do = o * (1.0 - o)
-        dtc = 1.0 - tc ** 2
+        gates = self._gates(h, z)
+        i, f, a, o = gates
+        tc = np.tanh(f * c + i * a)
+        slope = gates * (1.0 - gates)      # sigmoid' at rows i, f, o
+        slope[2] = 1.0 - a ** 2            # tanh' at row g
+        h_through_c = o * (1.0 - tc ** 2)
 
-        # pre-activation coefficients: d c'/d pre_k and d h'/d pre_k
-        c_coef = {"i": a * di, "f": c * df, "g": i * da, "o": np.zeros(H)}
-        h_through_c = o * dtc
-        h_coef = {k: h_through_c * c_coef[k] for k in ("i", "f", "g")}
-        h_coef["o"] = tc * do
+        # pre-activation coefficients d c'/d pre_k and d h'/d pre_k, rows k
+        c_coef = np.stack([a, c, i, np.zeros(H)]) * slope
+        h_coef = h_through_c * c_coef
+        h_coef[3] = tc * slope[3]
 
-        Wh = {k: self.params.get(f"W_h{k}") for k in self.GATES}
-        dc_dh = sum(c_coef[k][:, None] * Wh[k] for k in ("i", "f", "g"))
-        dh_dh = h_coef["o"][:, None] * Wh["o"] + h_through_c[:, None] * dc_dh
+        W = self._recurrent_matrix().reshape(4, H, H)
+        dc_dh = (c_coef[:3, :, None] * W[:3]).sum(axis=0)
+        dh_dh = h_coef[3][:, None] * W[3] + h_through_c[:, None] * dc_dh
         A = np.zeros((2 * H, 2 * H))
         A[:H, :H] = dh_dh
         A[:H, H:] = np.diag(h_through_c * f)
         A[H:, :H] = dc_dh
         A[H:, H:] = np.diag(f)
-
-        layout = self.params.layout
-        B = np.zeros((2 * H, self.n_params))
-        for k in self.GATES:
-            hb = _outer_block(h_coef[k], h)
-            cb = _outer_block(c_coef[k], h)
-            sl = layout.slice(f"W_h{k}")
-            B[:H, sl] = hb
-            B[H:, sl] = cb
-            if self.n_input > 0:
-                sl = layout.slice(f"U_{k}")
-                B[:H, sl] = _outer_block(h_coef[k], z)
-                B[H:, sl] = _outer_block(c_coef[k], z)
-            if self.bias:
-                sl = layout.slice(f"b_{k}")
-                B[:H, sl] = np.diag(h_coef[k])
-                B[H:, sl] = np.diag(c_coef[k])
-
-        C, F = self._readout_jacobians(x)
-        return A, B, C, F
-
-    def recurrent_block_names(self):
-        return [f"W_h{k}" for k in self.GATES]
+        # rows of h', then rows of c'
+        return A, self._param_jacobian(np.stack([h_coef, c_coef]), h, z)
 
     # ---- batched training path ----
 
@@ -565,16 +516,14 @@ class LstmCell(_ReadoutMixin, DynamicalModel):
         H = self.n_hidden
         hs = np.empty((T, B, H))
         cs = np.empty((T, B, H))
-        gates = np.empty((max(T - 1, 0), 4, B, H))
+        gates = np.empty((max(T - 1, 0), B, 4, H))
         h, c = self.split_state(x0)
-        h = h.copy()
-        c = c.copy()
         for t in range(T):
             hs[t] = h
             cs[t] = c
             if t + 1 < T:
-                i, f, a, o = self._gates(h, Z[:, t])
-                gates[t, 0], gates[t, 1], gates[t, 2], gates[t, 3] = i, f, a, o
+                gates[t] = self._gates(h, Z[:, t])
+                i, f, a, o = _unstack(gates[t])
                 c = f * c + i * a
                 h = o * np.tanh(c)
         return hs, self.output(hs, None), {"hs": hs, "cs": cs, "gates": gates, "Z": Z}
@@ -582,34 +531,19 @@ class LstmCell(_ReadoutMixin, DynamicalModel):
     def backward_batch(self, cache, dY):
         hs, cs, gates, Z = cache["hs"], cache["cs"], cache["gates"], cache["Z"]
         T, B, H = hs.shape
-        layout = self.params.layout
-        grads = {name: np.zeros(layout.spec(name).shape) for name in layout.names()}
-        dH = self._readout_backward(dY, hs, grads)
-
-        Wh = {k: self.params.get(f"W_h{k}") for k in self.GATES}
+        grad, gW, dH = self._backward_start(dY, hs)
         dh = dH[T - 1].copy()
         dc = np.zeros((B, H))
         for t in range(T - 2, -1, -1):
-            i, f, a, o = gates[t, 0], gates[t, 1], gates[t, 2], gates[t, 3]
-            c_new = cs[t + 1]
-            tc = np.tanh(c_new)
-            do = dh * tc
+            i, f, a, o = _unstack(gates[t])
+            slope = gates[t] * (1.0 - gates[t])
+            slope[:, 2] = 1.0 - a ** 2
+            tc = np.tanh(cs[t + 1])
             dct = dc + dh * o * (1.0 - tc ** 2)
-            dpre = {
-                "i": dct * a * (i * (1.0 - i)),
-                "f": dct * cs[t] * (f * (1.0 - f)),
-                "g": dct * i * (1.0 - a ** 2),
-                "o": do * (o * (1.0 - o)),
-            }
-            for k in self.GATES:
-                grads[f"W_h{k}"] += dpre[k].T @ hs[t]
-                if self.n_input > 0:
-                    grads[f"U_{k}"] += dpre[k].T @ Z[:, t]
-                if self.bias:
-                    grads[f"b_{k}"] += dpre[k].sum(axis=0)
-            dh = sum(dpre[k] @ Wh[k] for k in self.GATES) + dH[t]
+            dpre = np.stack([dct * a, dct * cs[t], dct * i, dh * tc], axis=1) * slope
+            dh = self._backward_step(grad, gW, dpre.reshape(B, 4 * H), hs[t], Z[:, t]) + dH[t]
             dc = dct * f
-        return _grads_to_flat(layout, grads)
+        return self._backward_end(grad, gW)
 
 
 class StableLstmCell(LstmCell):
@@ -623,37 +557,27 @@ class StableLstmCell(LstmCell):
     """
 
     name = "slstm"
+    _CONFIG = LstmCell._CONFIG + ("target_norm", "projected_blocks")
 
     def __init__(self, *args, target_norm=0.97, projected_blocks=None, **kwargs):
         if not (0.0 < target_norm < 1.0):
             raise ValueError("target_norm must lie in (0, 1)")
         self.target_norm = float(target_norm)
+        self.projected_blocks = tuple(
+            self._W if projected_blocks is None else projected_blocks)
         super().__init__(*args, **kwargs)
-        self.projected_blocks = (
-            tuple(projected_blocks) if projected_blocks is not None
-            else tuple(self.recurrent_block_names())
-        )
-
-    def _config(self):
-        cfg = super()._config()
-        cfg.update(target_norm=self.target_norm, projected_blocks=self.projected_blocks)
-        return cfg
-
-
-def _project_params(params, block_names, target):
-    # relative slack makes the projection exactly idempotent
-    for name in block_names:
-        W = params.get(name)
-        s1 = spectral_norm(W)
-        if s1 > target * (1.0 + 1e-12):
-            params = params.with_block(name, W * (target / s1))
-    return params
 
 
 def project_stable(cell: StableLstmCell) -> StableLstmCell:
     """Rescale each listed recurrent block to spectral norm <= target_norm."""
-    new_params = _project_params(cell.params, cell.projected_blocks, cell.target_norm)
-    return cell.with_params(new_params.values)
+    params = cell.params
+    for name in cell.projected_blocks:
+        W = params.get(name)
+        s1 = spectral_norm(W)
+        # relative slack makes the projection exactly idempotent
+        if s1 > cell.target_norm * (1.0 + 1e-12):
+            params = params.with_block(name, W * (cell.target_norm / s1))
+    return cell.with_params(params.values)
 
 
 # ---------------------------------------------------------------------------
@@ -668,20 +592,19 @@ _CELL_KINDS = {
 }
 
 
+def _cell_class(kind):
+    if kind not in _CELL_KINDS:
+        raise ConfigError(f"unknown cell kind {kind!r}")
+    return _CELL_KINDS[kind]
+
+
 def cell_to_dict(cell) -> dict:
-    doc = {
-        "format_version": CELL_FORMAT_VERSION,
-        "kind": cell.name,
-        "n_hidden": cell.n_hidden,
-        "n_input": cell.n_input,
-        "bias": cell.bias,
-        "readout": cell.readout,
-        "n_output": cell.n_output,
-        "blocks": cell.params.to_dict(),
-    }
-    if isinstance(cell, StableLstmCell):
-        doc["target_norm"] = cell.target_norm
-        doc["projected_blocks"] = list(cell.projected_blocks)
+    """The cell file document: the shared config, theta, then kind extras."""
+    config = cell._config()
+    doc = {"format_version": CELL_FORMAT_VERSION, "kind": cell.name}
+    doc.update((k, config.pop(k)) for k in _Cell._CONFIG)
+    doc["blocks"] = cell.params.to_dict()
+    doc.update((k, list(v) if isinstance(v, tuple) else v) for k, v in config.items())
     return doc
 
 
@@ -692,25 +615,15 @@ def save_cell(cell, path):
 
 
 def cell_from_dict(doc) -> DynamicalModel:
-    kind = doc["kind"]
-    if kind not in _CELL_KINDS:
-        raise ValueError(f"unknown cell kind {kind!r}")
-    kwargs = dict(
-        n_hidden=doc["n_hidden"],
-        n_input=doc.get("n_input", 0),
-        bias=doc.get("bias", False),
-        readout=doc.get("readout", "identity"),
-        n_output=doc.get("n_output"),
-    )
-    if kind == "slstm":
-        kwargs["target_norm"] = doc.get("target_norm", 0.97)
-        kwargs["projected_blocks"] = doc.get("projected_blocks")
-    cell = _CELL_KINDS[kind](**kwargs)
-    cell.params = ParameterVector.from_dict(cell.params.layout, doc["blocks"])
-    if kind == "ornn":
-        cell._W_cache = None
-        cell._dW_cache = None
-    return cell
+    """Inverse of :func:`cell_to_dict`; absent config keys take their defaults."""
+    version = doc.get("format_version", CELL_FORMAT_VERSION)
+    if version != CELL_FORMAT_VERSION:
+        raise ConfigError(
+            f"cell format_version {version!r} is not {CELL_FORMAT_VERSION}")
+    cls = _cell_class(doc["kind"])
+    config = {k: doc[k] for k in cls._CONFIG if k in doc}
+    layout = cls(**config).params.layout
+    return cls(params=ParameterVector.from_dict(layout, doc["blocks"]), **config)
 
 
 def load_cell(path) -> DynamicalModel:
@@ -721,13 +634,10 @@ def load_cell(path) -> DynamicalModel:
 def make_cell(kind, n_hidden, n_input=0, bias=True, readout="linear",
               n_output=1, init_seed=0, target_norm=0.97):
     """Task-ready cell factory used by the trainer and the CLI."""
-    if kind not in _CELL_KINDS:
-        raise ValueError(f"unknown cell kind {kind!r}")
-    kwargs = dict(n_hidden=n_hidden, n_input=n_input, bias=bias,
-                  readout=readout, n_output=n_output, init_seed=init_seed)
-    if kind == "slstm":
-        kwargs["target_norm"] = target_norm
-    return _CELL_KINDS[kind](**kwargs)
+    cls = _cell_class(kind)
+    extra = {"target_norm": target_norm} if cls is StableLstmCell else {}
+    return cls(n_hidden=n_hidden, n_input=n_input, bias=bias, readout=readout,
+               n_output=n_output, init_seed=init_seed, **extra)
 
 
 def chaotic_reference_cell() -> LstmCell:

@@ -22,7 +22,6 @@ from . import __version__
 from .analysis import (
     bifurcation_sweep,
     check_entropy_bound,
-    classify_attractor,
     entropy_linear_gaussian,
     epoch_bifurcation,
 )
@@ -116,14 +115,18 @@ def _outdir(args):
 
 
 def _parse_floats(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+    try:
+        return [float(v) for v in str(text).split(",") if v != ""]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_range(text):
-    parts = str(text).split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"range must look like lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = (float(v) for v in str(text).split(":"))
+    except ValueError:
+        raise ConfigError(f"range must look like lo:hi, got {text!r}") from None
+    return lo, hi
 
 
 def _parse_matrix(text):
@@ -355,7 +358,10 @@ def cmd_landscape(args):
     range_text = str(_resolve(args, config, "range", "0:1.6"))
     ranges = [_parse_range(r) for r in range_text.split(",")]
     res_text = str(_resolve(args, config, "resolution", "200"))
-    resolution = [int(r) for r in res_text.split(",")]
+    try:
+        resolution = [int(r) for r in res_text.split(",")]
+    except ValueError:
+        raise ConfigError(f"resolution must be integers, got {res_text!r}") from None
     if len(ranges) != len(axes) or len(resolution) != len(axes):
         raise ConfigError("--range and --resolution must match the number of axes")
 
@@ -418,14 +424,15 @@ def cmd_train(args):
     stop_at = _resolve(args, config, "stop_at",
                        1.0 if task.metric_kind == "accuracy" else None)
     drops_text = _resolve(args, config, "lr_drops")
-    if drops_text is not None:
-        drops = []
-        if str(drops_text).strip():
-            for item in str(drops_text).split(","):
-                e, f = item.split(":")
-                drops.append((int(e), float(f)))
-    else:
+    if drops_text is None:
         drops = default["drops"]
+    else:
+        try:
+            drops = [(int(e), float(f)) for e, f in (
+                item.split(":") for item in str(drops_text).split(",") if item.strip())]
+        except ValueError:
+            raise ConfigError(
+                f"lr drops must look like epoch:factor,..., got {drops_text!r}") from None
 
     cell = make_cell(kind, hidden, n_input=task.input_dim, bias=True,
                      readout="linear", n_output=task.output_dim,

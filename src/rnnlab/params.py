@@ -23,6 +23,10 @@ class BlockSpec:
     shape: tuple[int, ...]
     size: int  # number of entries, stored so that lookups do no arithmetic
 
+    @property
+    def span(self) -> slice:
+        return slice(self.offset, self.offset + self.size)
+
 
 class ParameterLayout:
     """Ordered, disjoint, covering map from block names to vector slices."""
@@ -38,6 +42,7 @@ class ParameterLayout:
         self.blocks = tuple(specs)
         self.size = offset
         self._by_name = {b.name: b for b in self.blocks}
+        self._stacked = {}
         if len(self._by_name) != len(self.blocks):
             raise ValueError("duplicate block names in layout")
 
@@ -51,8 +56,29 @@ class ParameterLayout:
         return self._by_name[name]
 
     def slice(self, name: str) -> slice:
-        b = self._by_name[name]
-        return slice(b.offset, b.offset + b.size)
+        return self._by_name[name].span
+
+    def stacked(self, names) -> BlockSpec:
+        """One spec over alike blocks that lie back to back, in that order.
+
+        K blocks of shape (m, ...) read as one (K*m, ...) block, their
+        concatenation along the first axis.  The spec is cached per tuple
+        of names, since cells look it up at every step.
+        """
+        names = tuple(names)
+        spec = self._stacked.get(names)
+        if spec is None:
+            specs = [self._by_name[n] for n in names]
+            for prev, b in zip(specs, specs[1:]):
+                if b.shape != prev.shape:
+                    raise ValueError(f"blocks {prev.name} and {b.name} differ in shape")
+                if b.offset != prev.offset + prev.size:
+                    raise ValueError(f"block {b.name} does not follow {prev.name}")
+            first = specs[0]
+            shape = (len(specs) * first.shape[0],) + first.shape[1:]
+            spec = BlockSpec("+".join(names), first.offset, shape, len(specs) * first.size)
+            self._stacked[names] = spec
+        return spec
 
 
 class ParameterVector:
@@ -60,7 +86,8 @@ class ParameterVector:
 
     Mutating methods return new vectors; the underlying array is owned by
     this object and callers must not write through views obtained from
-    :meth:`get`.  With stacked values every block carries the leading
+    :meth:`get`, except into a vector they built to accumulate into, such
+    as a gradient.  With stacked values every block carries the leading
     axis: :meth:`get` returns a (P, *shape) view.
     """
 
@@ -85,7 +112,13 @@ class ParameterVector:
         return self.layout.size
 
     def get(self, name: str) -> np.ndarray:
-        b = self.layout.spec(name)
+        return self._view(self.layout.spec(name))
+
+    def get_stacked(self, names) -> np.ndarray:
+        """View of consecutive alike blocks as one, see :meth:`ParameterLayout.stacked`."""
+        return self._view(self.layout.stacked(names))
+
+    def _view(self, b: BlockSpec) -> np.ndarray:
         lead = self.values.shape[:-1]
         return self.values[..., b.offset : b.offset + b.size].reshape(lead + b.shape)
 
@@ -98,9 +131,6 @@ class ParameterVector:
                 f"block {name} expects shape {lead + b.shape}, got {block.shape}")
         values = self.values.copy()
         values[..., b.offset : b.offset + b.size] = block.reshape(lead + (b.size,))
-        return ParameterVector(self.layout, values)
-
-    def with_values(self, values) -> "ParameterVector":
         return ParameterVector(self.layout, values)
 
     def theta_hash(self) -> str:

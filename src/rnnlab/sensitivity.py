@@ -276,18 +276,9 @@ def cost_and_gradient_reverse(model, dataset, loss=SQUARED_ERROR):
         raise LengthMismatch("mask selects no steps")
 
     # per-sequence weight 1/(B * n_masked_b) makes the sum the dataset cost
-    w = (Mt / (B * n_masked[None, :]))[:, :, None]
-    if loss.kind == "squared_error":
-        diff = outputs - Yt
-        value = float(np.sum(w * diff ** 2))
-        dY = w * (2.0 * diff)
-    elif loss.kind == "sigmoid_cross_entropy":
-        value = float(
-            np.sum(w * (Yt * _softplus(-outputs) + (1.0 - Yt) * _softplus(outputs)))
-        )
-        dY = w * (sigmoid(outputs) - Yt)
-    else:
-        raise ValueError(f"unsupported loss {loss.kind!r} for reverse accumulation")
+    w = Mt / (B * n_masked[None, :])
+    value = float(np.sum(w * loss.value(outputs, Yt)))
+    dY = w[:, :, None] * loss.derivative(outputs, Yt)
 
     grad = model.backward_batch(cache, dY)
     if not np.all(np.isfinite(grad)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .errors import EmptyRegion, NonFiniteState
 from .params import ParameterVector
 
 log = logging.getLogger(__name__)
-
-__version__ = "0.1.0"
 
 
 class DynamicalModel:
@@ -70,9 +68,6 @@ class DynamicalModel:
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.state_dim)
-
-    def _empty_input(self):
-        return np.zeros(self.input_dim)
 
 
 @dataclass

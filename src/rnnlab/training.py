@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .cells import StableLstmCell, cell_from_dict, cell_to_dict, project_stable
 from .errors import NonFiniteState
 from .sensitivity import (
-    LOSSES,
     SIGMOID_CROSS_ENTROPY,
     SQUARED_ERROR,
     Sequence,
@@ -216,58 +215,6 @@ class EvalResult:
     kind: str
 
 
-class TeacherForcedTask(Task):
-    """A task whose inputs are augmented with the lagged observed output.
-
-    z[t] = (y[t-1], u[t]) with y[-1] = 0 by convention.  Training uses
-    these open-loop sequences; at inference the lagged entry is replaced
-    by the model's own previous output (closed loop), which is what
-    :meth:`feedback` wires up.
-    """
-
-    def __init__(self, base: Task):
-        self.base = base
-        self.name = base.name + "+tf"
-        self.loss = base.loss
-        self.metric_kind = base.metric_kind
-        self.input_dim = base.output_dim + base.input_dim
-        self.output_dim = base.output_dim
-        self.train = [self._wrap(s) for s in base.train]
-        self.val = [self._wrap(s) for s in base.val] if base.val else None
-
-    @staticmethod
-    def _wrap(seq: Sequence) -> Sequence:
-        lagged = np.vstack([np.zeros((1, seq.targets.shape[1])), seq.targets[:-1]])
-        return Sequence(
-            inputs=np.hstack([lagged, seq.inputs]),
-            targets=seq.targets,
-            mask=seq.mask,
-        )
-
-    def feedback(self, u_const):
-        """Closed-loop feedback map y -> (y, u) for a fixed exogenous input."""
-        u = np.asarray(u_const, dtype=float).ravel()
-
-        def fb(y):
-            return np.concatenate([np.asarray(y, dtype=float).ravel(), u])
-
-        return fb
-
-    def evaluate(self, model):
-        outputs = batch_outputs(model, self.train)
-        targets = np.stack([s.targets for s in self.train])
-        mse = float(np.mean((outputs - targets) ** 2))
-        return EvalResult(metric=mse, baseline=0.0, kind=self.metric_kind)
-
-
-def teacher_forcing_wrap(task: Task) -> TeacherForcedTask:
-    return TeacherForcedTask(task)
-
-
-def evaluate(model, task: Task) -> EvalResult:
-    return task.evaluate(model)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -301,13 +248,7 @@ class TrainConfig:
         return lr
 
     def to_dict(self):
-        return {
-            "epochs": self.epochs, "lr0": self.lr0, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps, "clip_norm": self.clip_norm,
-            "batch_size": self.batch_size, "lr_drops": [list(d) for d in self.lr_drops],
-            "snapshot_every": self.snapshot_every, "seed": self.seed,
-            "stop_at_metric": self.stop_at_metric,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -320,9 +261,6 @@ class TrainRun:
     task_meta: dict
     stopped_early: bool = False
 
-    def snapshot_pairs(self):
-        return [(e, v) for e, v in self.snapshots]
-
 
 def snapshot_epochs(n_epochs, every):
     """{0, every, 2*every, ...} plus the final epoch."""
@@ -331,10 +269,6 @@ def snapshot_epochs(n_epochs, every):
     epochs = set(range(0, n_epochs + 1, every))
     epochs.add(n_epochs)
     return sorted(epochs)
-
-
-def snapshot_schedule(run: TrainRun, every):
-    return snapshot_epochs(len(run.history), every)
 
 
 def train(model, task: Task, config: TrainConfig):

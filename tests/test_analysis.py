@@ -253,6 +253,14 @@ def test_classify_chaotic_with_lyapunov():
     assert not cls2.is_chaotic
 
 
+def test_classify_does_not_split_a_value_across_grid_cells():
+    # 5e-7 lies on a rounding boundary of the 1e-6 grid; jitter far below
+    # tol must still read as one value
+    rng = np.random.default_rng(0)
+    cls = classify_attractor(5e-7 + 1e-13 * rng.standard_normal(100), tol=1e-6)
+    assert cls.is_fixed_point and cls.n_distinct == 1
+
+
 def test_classify_requires_enough_samples():
     with pytest.raises(TooFewSamples):
         classify_attractor(np.ones(7))

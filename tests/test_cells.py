@@ -6,6 +6,7 @@ import pytest
 
 from rnnlab.cells import (
     CHAOTIC_REFERENCE_STATE,
+    _outer_block,
     LstmCell,
     OrthogonalRnnCell,
     StableLstmCell,
@@ -21,6 +22,7 @@ from rnnlab.cells import (
     save_cell,
     spectral_norm,
 )
+from rnnlab.errors import ConfigError
 from rnnlab.statespace import simulate
 
 from helpers import fd_jacobians, rel_err
@@ -192,6 +194,20 @@ def test_jacobians_match_finite_differences(kind):
     assert worst < 1e-5
 
 
+def test_outer_block_equals_the_gate_by_gate_loop():
+    rng = np.random.default_rng(5)
+    coef = rng.standard_normal((2, 4, 3))   # 2 row groups, K = 4 blocks, H = 3
+    v = rng.standard_normal(5)
+    want = np.zeros((2, 3, 4 * 3 * 5))
+    for r in range(2):
+        for k in range(4):
+            for a in range(3):
+                start = k * 15 + a * 5
+                want[r, a, start : start + 5] = coef[r, k, a] * v
+    assert np.array_equal(_outer_block(coef, v), want.reshape(6, -1))
+    assert np.array_equal(_outer_block(coef[0, :1], np.ones(1)), np.diag(coef[0, 0]))
+
+
 @pytest.mark.parametrize("kind", ["vanilla", "lstm", "ornn"])
 def test_jacobians_without_inputs_or_bias(kind):
     rng = np.random.default_rng(2)
@@ -346,6 +362,29 @@ def test_cell_json_round_trip(kind, tmp_path):
     assert np.array_equal(back.params.values, cell.params.values)
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+def test_cell_file_keeps_its_key_order(kind, tmp_path):
+    cell = make_cell(kind, 3, n_input=2, bias=True, readout="linear",
+                     n_output=2, init_seed=6)
+    path = tmp_path / "cell.json"
+    save_cell(cell, path)
+    keys = list(json.loads(path.read_text()))
+    want = ["format_version", "kind", "n_hidden", "n_input", "bias", "readout",
+            "n_output", "blocks"]
+    if kind == "slstm":
+        want += ["target_norm", "projected_blocks"]
+    assert keys == want
+    assert list(cell_to_dict(cell)) == want
+    assert list(json.loads(path.read_text())["blocks"]) == cell.params.layout.names()
+
+
+def test_unknown_format_version_is_rejected():
+    doc = cell_to_dict(make_cell("lstm", 2, init_seed=1))
+    doc["format_version"] = 99
+    with pytest.raises(ConfigError, match="format_version 99"):
+        cell_from_dict(doc)
 
 
 def test_shipped_reference_weights():

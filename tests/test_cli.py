@@ -3,6 +3,7 @@ import shutil
 from importlib.resources import files
 
 import numpy as np
+import pytest
 
 from rnnlab import cli, smoothness
 from rnnlab.errors import DivergentCost
@@ -111,3 +112,23 @@ def test_smoothness_evaluates_the_bound_once(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "smoothness.json").read_text())
     assert doc["L_V_prime"] == bound(calls[0])
     assert np.isclose(doc["inputs"]["L_f"], 0.9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--cell", "lstm", "--hidden", "2", "--inputs", "1", "--input", "x"],
+    ["landscape", "--weights", REFERENCE, "--range", "a:b"],
+    ["landscape", "--weights", REFERENCE, "--resolution", "x"],
+    ["train", "--lr-drops", "5"],
+])
+def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
+    assert run(argv, tmp_path) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_weights_of_an_unknown_format_version_exit_config(tmp_path, capsys):
+    doc = json.loads(open(REFERENCE).read())
+    doc["format_version"] = 99
+    weights = tmp_path / "v99.json"
+    weights.write_text(json.dumps(doc))
+    assert run(["simulate", "--weights", str(weights)], tmp_path) == cli.EXIT_CONFIG
+    assert "format_version 99" in capsys.readouterr().err

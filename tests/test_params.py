@@ -82,3 +82,27 @@ def test_stacked_values_give_stacked_blocks():
         pv.with_block("b", np.ones(2))
     with pytest.raises(ValueError):
         ParameterVector(layout, np.zeros((3, layout.size + 1)))
+
+
+def test_stacked_blocks_read_as_their_concatenation():
+    layout = ParameterLayout([("A", (2, 3)), ("B", (2, 3)), ("C", (2, 3)),
+                              ("v", (2,)), ("w", (2,))])
+    rows = np.arange(4 * layout.size, dtype=float).reshape(4, layout.size)
+    for values in (rows[1], rows):
+        pv = ParameterVector(layout, values)
+        for names, axis in ((("A", "B", "C"), -2), (("v", "w"), -1)):
+            want = np.concatenate([pv.get(n) for n in names], axis=axis)
+            assert np.array_equal(pv.get_stacked(names), want)
+    assert layout.stacked(("A", "B", "C")).shape == (6, 3)
+    assert layout.stacked(("A", "B", "C")) is layout.stacked(("A", "B", "C"))
+
+
+def test_stacked_blocks_must_be_contiguous_and_alike():
+    layout = ParameterLayout([("A", (2, 3)), ("B", (2, 3)), ("v", (2,)), ("C", (2, 3)),
+                              ("D", (3, 2))])
+    with pytest.raises(ValueError, match="does not follow"):
+        layout.stacked(("A", "C"))
+    with pytest.raises(ValueError, match="does not follow"):
+        layout.stacked(("B", "A"))
+    with pytest.raises(ValueError, match="differ in shape"):
+        layout.stacked(("C", "D"))

@@ -1,0 +1,38 @@
+import json
+
+import numpy as np
+
+from rnnlab.cells import make_cell, spectral_norm
+from rnnlab.training import SymbolTask, TrainConfig, load_run, save_run, train
+
+
+def test_config_document_matches_the_written_field_list():
+    config = TrainConfig(epochs=3, lr_drops=[(2, 10.0)], stop_at_metric=0.9)
+    assert json.dumps(config.to_dict()) == json.dumps({
+        "epochs": 3, "lr0": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+        "clip_norm": 0.25, "batch_size": 0, "lr_drops": [[2, 10.0]],
+        "snapshot_every": 100, "seed": 0, "stop_at_metric": 0.9,
+    })
+
+
+def test_stable_lstm_run_round_trips_and_stays_projected(tmp_path):
+    task = SymbolTask(length=50, n_train=20, n_val=20, seed=2)
+    cell = make_cell("slstm", 3, n_input=task.input_dim, bias=True, readout="linear",
+                     n_output=task.output_dim, init_seed=2, target_norm=0.9)
+    config = TrainConfig(epochs=2, lr0=1e-2, batch_size=10, snapshot_every=1, seed=2)
+    model, run = train(cell, task, config)
+    save_run(run, tmp_path / "run", extra_meta={"spec_hash": "abc"})
+
+    config_doc, history, snapshots = load_run(tmp_path / "run")
+    assert config_doc["train"] == json.loads(json.dumps(config.to_dict()))
+    assert config_doc["cell"]["kind"] == "slstm"
+    assert history == [{k: float(v) for k, v in row.items()} for row in run.history]
+    assert [e for e, _ in snapshots] == [0, 1, 2]
+    for (epoch, values), (back_epoch, back) in zip(run.snapshots, snapshots):
+        assert back_epoch == epoch
+        assert type(back) is type(model)
+        assert np.array_equal(back.params.values, values)
+        assert back.projected_blocks == model.projected_blocks
+        for name in back.projected_blocks:
+            assert spectral_norm(back.params.get(name)) <= 0.9 * (1.0 + 1e-12)
+    assert np.array_equal(snapshots[-1][1].params.values, model.params.values)
