@@ -49,9 +49,7 @@ from .sensitivity import (
     Sequence,
     cost,
     cost_and_gradient_reverse,
-    fd_gradient,
     gradient,
-    propagate_sensitivity,
 )
 from .smoothness import (
     LandscapeGrid,

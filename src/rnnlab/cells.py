@@ -21,10 +21,11 @@ gates in one product, with no change of layout.
 ``step`` and ``output`` broadcast over a leading axis of P stacked points:
 the state may be (P, N_x) and the parameters (P, N_theta), as built by
 ``with_params`` from a matrix of parameter vectors.  ``jacobians`` is
-single-point.  Cells also provide batched forward/backward passes used by
-the training harness, where a batch of sequences shares one theta; the
-backward pass is verified against forward sensitivity propagation in the
-test suite.
+single-point.  Cells override the batched backward pass of the gradient
+route, where a batch of sequences shares one theta, with hand-derived code;
+only the LSTM keeps a forward pass of its own, to cache its gates.  The
+test suite checks the backward passes against forward sensitivity
+propagation and finite differences.
 """
 
 from __future__ import annotations
@@ -337,26 +338,16 @@ class VanillaRnnCell(_Cell):
         d = 1.0 - np.tanh(self._pre(x, z)) ** 2
         return d[:, None] * self._recurrent_matrix(), self._param_jacobian(d[None], x, z)
 
-    # ---- batched training path ----
-
-    def forward_batch(self, x0, Z):
-        """x0: (B, H), Z: (B, T, Z).  Returns hs (T, B, H), outputs (T, B, N_y), cache."""
-        B, T = Z.shape[0], Z.shape[1]
-        hs = np.empty((T, B, self.n_hidden))
-        h = x0
-        for t in range(T):
-            hs[t] = h
-            if t + 1 < T:
-                h = np.tanh(self._pre(h, Z[:, t]))
-        return hs, self.output(hs, None), {"hs": hs, "Z": Z}
+    # ---- batched backward pass (the forward pass is the default rollout) ----
 
     def backward_batch(self, cache, dY):
-        hs, Z = cache["hs"], cache["Z"]
+        """Gradient from the :class:`~rnnlab.statespace.Rollout` cache and dY (T, B, N_y)."""
+        hs, Z = cache.states, cache.inputs
         grad, gW, dH = self._backward_start(dY, hs)
         dh = dH[-1].copy()
         for t in range(len(hs) - 2, -1, -1):
             dpre = dh * (1.0 - hs[t + 1] ** 2)
-            dh = self._backward_step(grad, gW, dpre, hs[t], Z[:, t]) + dH[t]
+            dh = self._backward_step(grad, gW, dpre, hs[t], Z[t]) + dH[t]
         return self._backward_end(grad, gW)
 
 
@@ -509,10 +500,14 @@ class LstmCell(_Cell):
         # rows of h', then rows of c'
         return A, self._param_jacobian(np.stack([h_coef, c_coef]), h, z)
 
-    # ---- batched training path ----
+    # ---- batched forward and backward passes ----
 
     def forward_batch(self, x0, Z):
-        B, T = Z.shape[0], Z.shape[1]
+        """The default rollout's outputs, with a cache that keeps the gates the
+        backward pass needs: rebuilding them from the states took that pass
+        from 100 ms to 233 ms on a 100 x 400 sine batch at H = 32.
+        """
+        T, B = Z.shape[0], Z.shape[1]
         H = self.n_hidden
         hs = np.empty((T, B, H))
         cs = np.empty((T, B, H))
@@ -522,11 +517,11 @@ class LstmCell(_Cell):
             hs[t] = h
             cs[t] = c
             if t + 1 < T:
-                gates[t] = self._gates(h, Z[:, t])
+                gates[t] = self._gates(h, Z[t])
                 i, f, a, o = _unstack(gates[t])
                 c = f * c + i * a
                 h = o * np.tanh(c)
-        return hs, self.output(hs, None), {"hs": hs, "cs": cs, "gates": gates, "Z": Z}
+        return self.output(hs, None), {"hs": hs, "cs": cs, "gates": gates, "Z": Z}
 
     def backward_batch(self, cache, dY):
         hs, cs, gates, Z = cache["hs"], cache["cs"], cache["gates"], cache["Z"]
@@ -541,7 +536,7 @@ class LstmCell(_Cell):
             tc = np.tanh(cs[t + 1])
             dct = dc + dh * o * (1.0 - tc ** 2)
             dpre = np.stack([dct * a, dct * cs[t], dct * i, dh * tc], axis=1) * slope
-            dh = self._backward_step(grad, gW, dpre.reshape(B, 4 * H), hs[t], Z[:, t]) + dH[t]
+            dh = self._backward_step(grad, gW, dpre.reshape(B, 4 * H), hs[t], Z[t]) + dH[t]
             dc = dct * f
         return self._backward_end(grad, gW)
 

@@ -1,14 +1,16 @@
-"""Cost, exact gradients, and the finite-difference oracle.
+"""Datasets, losses, the cost and its gradient.
 
-Gradients come from forward-propagated sensitivity matrices
+Gradients have one route, reverse accumulation (back-propagation through
+time): a batch of sequences runs forward through the model's
+``forward_batch``, and ``backward_batch`` carries dL/dx back from the last
+step,
 
-    D[t+1] = A[t] D[t] + B[t],   D[0] = 0
-    J[t]   = C[t] D[t] + F[t]
+    dtheta += B[t]^T dx + F[t]^T dy[t],   dx <- A[t]^T dx + C[t]^T dy[t],
 
-so the gradient of the averaged loss is (1/n) * sum_t J[t]^T l'(yhat[t], y[t]).
-Forward propagation costs O(N * N_x * N_theta) per sequence, which is fine
-for the analyses here; the training harness uses the cells' batched reverse
-pass (``gradient_reverse``), verified against the forward route in tests.
+at O(N * N_x^2) per sequence.  The landscape, the empirical Lipschitz
+estimates and training all take it.  Forward sensitivity propagation
+(D[t+1] = A[t] D[t] + B[t]) and central finite differences are kept in
+``tests/helpers.py`` as the oracles the route is checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.special import expit as sigmoid
 
 from .errors import LengthMismatch, NonFiniteState
-from .statespace import simulate, _as_input_array
+from .statespace import simulate
 
 
 # ---------------------------------------------------------------------------
@@ -121,44 +123,6 @@ LOSSES = {loss.kind: loss for loss in (SQUARED_ERROR, SIGMOID_CROSS_ENTROPY)}
 
 
 # ---------------------------------------------------------------------------
-# forward sensitivity propagation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SensitivityState:
-    D: np.ndarray  # (N_x, N_theta) state sensitivity
-    J: np.ndarray  # (N_y, N_theta) output sensitivity
-
-
-def propagate_sensitivity(model, x0, inputs):
-    """Forward-propagate parameter sensitivities along one trajectory.
-
-    Returns one :class:`SensitivityState` per step, aligned with the
-    trajectory of :func:`~rnnlab.statespace.simulate`.  Raises
-    :class:`NonFiniteState` (with the step) when sensitivities blow up,
-    which is exactly what happens in the expanding regime for long
-    horizons.
-    """
-    inputs = _as_input_array(model, inputs)
-    traj = simulate(model, x0, inputs)
-    n = len(traj)
-    D = np.zeros((model.state_dim, model.n_params))
-    out = []
-    for t in range(n):
-        A, B, C, F = model.jacobians(traj.states[t], inputs[t])
-        J = C @ D + F
-        if not np.all(np.isfinite(J)):
-            raise NonFiniteState(t, "output sensitivity")
-        out.append(SensitivityState(D=D.copy(), J=J))
-        if t + 1 < n:
-            D = A @ D + B
-            if not np.all(np.isfinite(D)):
-                raise NonFiniteState(t + 1, "state sensitivity")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # cost and gradients
 # ---------------------------------------------------------------------------
 
@@ -198,97 +162,52 @@ def cost(model, dataset, loss=SQUARED_ERROR):
     return float(mean_over_sequences(costs))
 
 
-def _sequence_gradient(model, seq, loss):
-    x0 = seq.start_state(model)
-    traj = simulate(model, x0, seq.inputs)
-    sens = propagate_sensitivity(model, x0, seq.inputs)
-    idx = np.flatnonzero(seq.mask)
-    g = np.zeros(model.n_params)
-    for t in idx:
-        g += sens[t].J.T @ loss.derivative(traj.outputs[t], seq.targets[t])
-    return g / idx.size
-
-
-def gradient(model, dataset, loss=SQUARED_ERROR):
-    """Exact cost gradient via forward sensitivities (column of length N_theta)."""
-    dataset = _as_dataset(dataset)
-    g = np.zeros(model.n_params)
-    for seq in dataset:
-        g += _sequence_gradient(model, seq, loss)
-    return g / len(dataset)
-
-
-def fd_gradient(model, dataset, loss=SQUARED_ERROR, step=1e-6):
-    """Central finite differences of the cost, one coordinate at a time."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    dataset = _as_dataset(dataset)
-    theta = model.params.values
-    g = np.empty(theta.size)
-    for k in range(theta.size):
-        tp = theta.copy()
-        tp[k] += step
-        tm = theta.copy()
-        tm[k] -= step
-        vp = cost(model.with_params(tp), dataset, loss)
-        vm = cost(model.with_params(tm), dataset, loss)
-        g[k] = (vp - vm) / (2.0 * step)
-    return g
-
-
 # ---------------------------------------------------------------------------
-# reverse accumulation (training fast path)
+# gradients: reverse accumulation
 # ---------------------------------------------------------------------------
 
 
-def _stack_batch(dataset, model=None):
-    shapes = {(s.inputs.shape, s.targets.shape) for s in dataset}
-    if len(shapes) != 1:
-        raise LengthMismatch("batched gradients need uniformly shaped sequences")
-    Z = np.stack([s.inputs for s in dataset])        # (B, T, N_z)
-    Y = np.stack([s.targets for s in dataset])       # (B, T, N_y)
-    M = np.stack([s.mask for s in dataset])          # (B, T)
-    X0 = None
-    if model is not None:
-        X0 = np.stack([s.start_state(model) for s in dataset])
+def _stack_batch(dataset, model):
+    """Inputs, targets and masks of equal-shaped sequences, time-first, and X0 (B, N_x)."""
+    Z = np.stack([s.inputs for s in dataset], axis=1)
+    Y = np.stack([s.targets for s in dataset], axis=1)
+    M = np.stack([s.mask for s in dataset], axis=1)
+    X0 = np.stack([s.start_state(model) for s in dataset])
     return Z, Y, M, X0
 
 
 def cost_and_gradient_reverse(model, dataset, loss=SQUARED_ERROR):
-    """Cost and gradient via the cell's batched backward pass.
+    """The cost and its gradient, through the model's ``forward_batch`` and
+    ``backward_batch`` once per group of equally shaped sequences.
 
-    Equivalent to :func:`gradient` (checked to ~1e-8 relative in tests)
-    but costs O(N * N_x^2) per sequence instead of O(N * N_x * N_theta).
-    Requires a cell implementing ``forward_batch``/``backward_batch``.
+    Each sequence keeps its weight in :func:`cost`.  Raises
+    :class:`NonFiniteState` when an output or the gradient is NaN/Inf.
     """
     dataset = _as_dataset(dataset)
-    Z, Y, M, X0 = _stack_batch(dataset, model)
-    B = Z.shape[0]
-    hs, outputs, cache = model.forward_batch(X0, Z)     # outputs: (T, B, N_y)
-    if not np.all(np.isfinite(outputs)):
-        bad = np.argwhere(~np.isfinite(outputs))
-        raise NonFiniteState(int(bad[0][0]), "output")
-
-    Yt = np.swapaxes(Y, 0, 1)                           # (T, B, N_y)
-    Mt = np.swapaxes(M, 0, 1)                           # (T, B)
-    n_masked = M.sum(axis=1).astype(float)              # per sequence
-    if np.any(n_masked == 0):
-        raise LengthMismatch("mask selects no steps")
-
-    # per-sequence weight 1/(B * n_masked_b) makes the sum the dataset cost
-    w = Mt / (B * n_masked[None, :])
-    value = float(np.sum(w * loss.value(outputs, Yt)))
-    dY = w[:, :, None] * loss.derivative(outputs, Yt)
-
-    grad = model.backward_batch(cache, dY)
+    groups = {}
+    for s in dataset:
+        groups.setdefault((s.inputs.shape, s.targets.shape), []).append(s)
+    value, grad = 0.0, np.zeros(model.n_params)
+    for batch in groups.values():
+        Z, Y, M, X0 = _stack_batch(batch, model)
+        outputs, cache = model.forward_batch(X0, Z)     # (T, B, N_y)
+        if outputs.shape[-1] != Y.shape[-1]:
+            raise LengthMismatch(f"{outputs.shape[-1]} outputs, {Y.shape[-1]} targets")
+        if not np.all(np.isfinite(outputs)):
+            bad = np.argwhere(~np.isfinite(outputs))
+            raise NonFiniteState(int(bad[0][0]), "output")
+        n_masked = M.sum(axis=0).astype(float)          # per sequence
+        if np.any(n_masked == 0):
+            raise LengthMismatch("mask selects no steps")
+        # per-sequence weight 1/(n_sequences * n_masked) makes the sum the cost
+        w = M / (len(dataset) * n_masked[None, :])
+        value += float(np.sum(w * loss.value(outputs, Y)))
+        grad += model.backward_batch(cache, w[:, :, None] * loss.derivative(outputs, Y))
     if not np.all(np.isfinite(grad)):
         raise NonFiniteState(0, "gradient")
     return value, grad
 
 
-def batch_outputs(model, dataset):
-    """Batched simulation outputs, shape (B, T, N_y)."""
-    dataset = _as_dataset(dataset)
-    Z, _, _, X0 = _stack_batch(dataset, model)
-    _, outputs, _ = model.forward_batch(X0, Z)
-    return np.swapaxes(outputs, 0, 1)
+def gradient(model, dataset, loss=SQUARED_ERROR):
+    """Exact cost gradient (length N_theta), by reverse accumulation."""
+    return cost_and_gradient_reverse(model, dataset, loss)[1]

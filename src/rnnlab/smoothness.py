@@ -24,6 +24,7 @@ from .sensitivity import (
     SQUARED_ERROR,
     _as_dataset,
     cost,
+    cost_and_gradient_reverse,
     gradient,
     mean_over_sequences,
     sequence_costs,
@@ -135,19 +136,20 @@ def bound_L_V_prime(c: SmoothnessConstants) -> float:
     S = c.S_table()
     cumS = np.concatenate([[0.0], np.cumsum(S)])  # cumS[k] = sum_{j=0..k-1} S(j)
     Lf = c.L_f
-    total = 0.0
+    # G(t) and H(t) sum L_f^{t-l} and L_f^{t-l} cumS[l] over l = 1..t; the sum
+    # over l of L_f^{t-l} seg(l, t), seg = sum_{j=l..t} S(j), is cumS[t+1] G - H
+    G, H = np.zeros((2, c.N + 1))
     for t in range(1, c.N + 1):
-        Mt = c.M_scale * S[t]
-        Tt = c.K4 * (c.L_g_prime * Mt + c.L_g ** 2)
-        ells = np.arange(1, t + 1)
-        pow_lf = Lf ** (t - ells)
-        seg = cumS[t + 1] - cumS[ells]  # sum_{j=l..t} S(j)
-        P = pow_lf * (c.L_g * c.L_f_prime * seg + Lf * c.L_g_prime * S[t])
-        Q = pow_lf * (c.K4 * Mt * c.L_g * c.L_f_prime * seg + Lf * Tt * S[t])
-        L_J = float(np.sum(P)) + c.L_g_prime * S[t]
-        L_Jy = float(np.sum(Q)) + Tt * S[t]
-        total += c.K3 * c.L_y * L_J + L_Jy
-    return float(total / c.N)
+        G[t] = Lf * G[t - 1] + 1.0
+        H[t] = Lf * H[t - 1] + cumS[t]
+    t = np.arange(1, c.N + 1)
+    St, Gt = S[t], G[t]
+    seg_sum = cumS[t + 1] * Gt - H[t]
+    Mt = c.M_scale * St
+    Tt = c.K4 * (c.L_g_prime * Mt + c.L_g ** 2)
+    L_J = c.L_g * c.L_f_prime * seg_sum + Lf * c.L_g_prime * St * Gt + c.L_g_prime * St
+    L_Jy = c.K4 * Mt * c.L_g * c.L_f_prime * seg_sum + Lf * Tt * St * Gt + Tt * St
+    return float(np.sum(c.K3 * c.L_y * L_J + L_Jy) / c.N)
 
 
 def bound_report(c: SmoothnessConstants) -> dict:
@@ -245,8 +247,9 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
     max badly underestimates the local spikes near chaotic regions).
     Deterministic for a given seed.  Pairs with a divergent evaluation (as
     defined by :func:`checked_cost`, or a non-finite gradient) are skipped
-    and counted in ``n_divergent``.  ``model_family`` maps a flat theta to
-    a model.
+    and counted in ``n_divergent``.  With ``with_gradient``, each point's
+    cost and gradient come from one :func:`cost_and_gradient_reverse`
+    pass.  ``model_family`` maps a flat theta to a model.
     """
     if n_pairs < 10:
         raise ValueError("n_pairs must be >= 10")
@@ -257,15 +260,12 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
     def eval_point(theta):
         try:
             m = model_family(theta)
-            v = checked_cost(m, dataset, loss)
-            if with_gradient:
-                g = gradient(m, dataset, loss)
-                if not np.all(np.isfinite(g)):
-                    return None
-                return v, g
-            return v, None
+            if not with_gradient:
+                return checked_cost(m, dataset, loss), None
+            v, g = cost_and_gradient_reverse(m, dataset, loss)
         except (DivergentCost, NonFiniteState, FloatingPointError):
             return None
+        return None if divergent_costs(v) else (v, g)
 
     best_v = 0.0
     best_g = 0.0

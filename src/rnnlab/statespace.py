@@ -7,8 +7,12 @@ A model is the pair of maps
 
 with analytic Jacobians A = df/dx, B = df/dtheta, C = dg/dx, F = dg/dtheta.
 Everything downstream (simulation, fixed points, Lyapunov exponents,
-sensitivity gradients, bifurcation diagrams, smoothness estimates) is built
-on this contract, so concrete cells only implement step/output/jacobians.
+gradients, bifurcation diagrams, smoothness estimates) is built on this
+contract, so concrete cells only implement step/output/jacobians.  Two
+defaults give every model the batched pass of the gradient route:
+``forward_batch`` is one :func:`rollout` over per-row inputs, with the
+:class:`Rollout` as its cache, and ``backward_batch`` accumulates in reverse
+from ``jacobians``, one row at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +65,24 @@ class DynamicalModel:
     def with_params(self, values) -> "DynamicalModel":
         """New model of the same kind with a replacement flat theta."""
         raise NotImplementedError
+
+    def forward_batch(self, x0, Z):
+        """Outputs (T, B, N_y) of B sequences from x0 (B, N_x) under inputs
+        Z (T, B, N_z), and the cache :meth:`backward_batch` reads."""
+        run = rollout(self, x0, Z)
+        return run.outputs, run
+
+    def backward_batch(self, cache, dY):
+        """Gradient over theta of sum(dY * outputs), dY (T, B, N_y), in reverse:
+        with dx = dL/dx[t+1], dtheta += B^T dx + F^T dy, then dx <- A^T dx + C^T dy."""
+        grad = np.zeros(self.n_params)
+        for b in range(dY.shape[1]):
+            dx = np.zeros(self.state_dim)
+            for t in range(len(dY) - 1, -1, -1):
+                A, B, C, F = self.jacobians(cache.states[t, b], cache.inputs[t, b])
+                grad += B.T @ dx + F.T @ dY[t, b]
+                dx = A.T @ dx + C.T @ dY[t, b]
+        return grad
 
     @property
     def n_params(self) -> int:
@@ -126,9 +148,10 @@ class Trajectory:
 
 def _as_input_array(model, inputs):
     if model.input_dim == 0:
-        # any sequence-like stands in for its step count
-        n = int(inputs) if np.isscalar(inputs) else len(inputs)
-        return np.zeros((n, 0))
+        # a step count, or any sequence-like standing in for its steps (and rows)
+        if np.isscalar(inputs):
+            return np.zeros((int(inputs), 0))
+        return np.zeros((len(inputs),) + np.shape(inputs)[1:-1] + (0,))
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         if model.input_dim != 1:
@@ -142,7 +165,7 @@ class Rollout:
     """States, outputs and inputs of P stacked simulations, time first.
 
     ``states`` is (n, P, N_x), ``outputs`` (n, P, N_y) and ``inputs``
-    (n, N_z) when shared or (n, P, N_z) under feedback; without a batch
+    (n, N_z) when shared or (n, P, N_z) per row; without a batch
     axis the P axis is absent.  ``diverged_at[i]`` is the first step at
     which row i held a NaN/Inf and ``diverged_what[i]`` the quantity
     ("state", "output" or "input"); -1 and "" for a row that stayed
@@ -172,7 +195,8 @@ def rollout(model: DynamicalModel, x0, inputs, horizon=None, feedback=None,
 
     The rows are the leading axis of ``x0``, (P, N_x), or none for a
     single (N_x,) state; the model's parameters may carry the same P axis.
-    Open loop, ``inputs`` is the (n, N_z) sequence every row shares.  With
+    Open loop, ``inputs`` is the (n, N_z) sequence every row shares, or
+    (n, P, N_z), one sequence per row.  With
     ``feedback``, ``inputs`` is the first input, (N_z,) or (P, N_z), and
     ``z[t+1] = feedback(y[t])`` over ``horizon`` steps.
 

@@ -15,14 +15,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cells import StableLstmCell, cell_from_dict, cell_to_dict, project_stable
-from .errors import NonFiniteState
+from .errors import ConfigError, NonFiniteState
 from .sensitivity import (
     SIGMOID_CROSS_ENTROPY,
     SQUARED_ERROR,
     Sequence,
-    batch_outputs,
+    _stack_batch,
     cost_and_gradient_reverse,
 )
+from .statespace import rollout
 
 # ---------------------------------------------------------------------------
 # optimizer
@@ -79,6 +80,12 @@ class Task:
         raise NotImplementedError
 
 
+def _outputs(model, sequences):
+    """Outputs (T, B, N_y) of equally shaped sequences, in one rollout."""
+    Z, _, _, X0 = _stack_batch(sequences, model)
+    return rollout(model, X0, Z, keep_states=False).outputs
+
+
 class SineTask(Task):
     """Generate a unit-amplitude sine whose frequency a constant input encodes.
 
@@ -120,14 +127,14 @@ class SineTask(Task):
         return np.array([0.218 / np.pi])
 
     def evaluate(self, model):
-        outputs = batch_outputs(model, self.train)
-        targets = np.stack([s.targets for s in self.train])
+        outputs = _outputs(model, self.train)
+        targets = np.stack([s.targets for s in self.train], axis=1)
         mse = float(np.mean((outputs - targets) ** 2))
         return EvalResult(metric=mse, baseline=self.baseline(), kind="mse")
 
     def baseline(self):
         """MSE of the best constant predictor (the mean, which is ~0)."""
-        targets = np.stack([s.targets for s in self.train])
+        targets = np.stack([s.targets for s in self.train], axis=1)
         return float(np.mean((targets - targets.mean()) ** 2))
 
 
@@ -189,8 +196,7 @@ class SymbolTask(Task):
         }
 
     def accuracy(self, model, sequences):
-        outputs = batch_outputs(model, sequences)       # (B, T, 2)
-        logits = outputs[:, -1, :]
+        logits = _outputs(model, sequences)[-1]         # (B, 2)
         pred = logits > 0.0
         truth = np.stack([s.targets[-1] for s in sequences]) > 0.5
         return float(np.mean(np.all(pred == truth, axis=1)))
@@ -236,9 +242,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr0 <= 0 or self.clip_norm <= 0:
-            raise ValueError("lr0 and clip_norm must be positive")
+            raise ConfigError("lr0 and clip_norm must be positive")
         if any(f <= 0 for _, f in self.lr_drops):
-            raise ValueError("lr drop factors must be positive")
+            raise ConfigError("lr drop factors must be positive")
 
     def lr_at(self, epoch):
         lr = self.lr0

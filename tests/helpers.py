@@ -1,9 +1,18 @@
-"""Small hand-checkable models and finite-difference oracles for the tests."""
+"""Small hand-checkable models and the oracles for the tests.
+
+The library takes gradients by reverse accumulation only.  The oracles it
+is checked against live here: forward sensitivity propagation (RTRL) and
+central finite differences, of the Jacobians and of the cost.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from rnnlab.errors import NonFiniteState
 from rnnlab.params import ParameterLayout, ParameterVector
-from rnnlab.statespace import DynamicalModel
+from rnnlab.sensitivity import SQUARED_ERROR, _as_dataset, cost
+from rnnlab.statespace import DynamicalModel, _as_input_array, simulate
 
 
 class ScalarLinear(DynamicalModel):
@@ -254,3 +263,82 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=float)
     scale = max(1.0, float(np.abs(want).max()) if want.size else 1.0)
     return float(np.abs(got - want).max()) / scale
+
+
+# ---------------------------------------------------------------------------
+# gradient oracles
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SensitivityState:
+    D: np.ndarray  # (N_x, N_theta) state sensitivity
+    J: np.ndarray  # (N_y, N_theta) output sensitivity
+
+
+def propagate_sensitivity(model, x0, inputs):
+    """Forward-propagate parameter sensitivities along one trajectory.
+
+        D[t+1] = A[t] D[t] + B[t],   D[0] = 0
+        J[t]   = C[t] D[t] + F[t]
+
+    Returns one :class:`SensitivityState` per step, aligned with the
+    trajectory of :func:`~rnnlab.statespace.simulate`.  Raises
+    :class:`NonFiniteState` (with the step) when sensitivities blow up,
+    which is exactly what happens in the expanding regime for long
+    horizons.
+    """
+    inputs = _as_input_array(model, inputs)
+    traj = simulate(model, x0, inputs)
+    n = len(traj)
+    D = np.zeros((model.state_dim, model.n_params))
+    out = []
+    for t in range(n):
+        A, B, C, F = model.jacobians(traj.states[t], inputs[t])
+        J = C @ D + F
+        if not np.all(np.isfinite(J)):
+            raise NonFiniteState(t, "output sensitivity")
+        out.append(SensitivityState(D=D.copy(), J=J))
+        if t + 1 < n:
+            D = A @ D + B
+            if not np.all(np.isfinite(D)):
+                raise NonFiniteState(t + 1, "state sensitivity")
+    return out
+
+
+def _sequence_gradient(model, seq, loss):
+    x0 = seq.start_state(model)
+    traj = simulate(model, x0, seq.inputs)
+    sens = propagate_sensitivity(model, x0, seq.inputs)
+    idx = np.flatnonzero(seq.mask)
+    g = np.zeros(model.n_params)
+    for t in idx:
+        g += sens[t].J.T @ loss.derivative(traj.outputs[t], seq.targets[t])
+    return g / idx.size
+
+
+def forward_gradient(model, dataset, loss=SQUARED_ERROR):
+    """Cost gradient by forward sensitivities: (1/n) sum_t J[t]^T l'(yhat[t], y[t])."""
+    dataset = _as_dataset(dataset)
+    g = np.zeros(model.n_params)
+    for seq in dataset:
+        g += _sequence_gradient(model, seq, loss)
+    return g / len(dataset)
+
+
+def fd_gradient(model, dataset, loss=SQUARED_ERROR, step=1e-6):
+    """Central finite differences of the cost, one coordinate at a time."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    dataset = _as_dataset(dataset)
+    theta = model.params.values
+    g = np.empty(theta.size)
+    for k in range(theta.size):
+        tp = theta.copy()
+        tp[k] += step
+        tm = theta.copy()
+        tm[k] -= step
+        vp = cost(model.with_params(tp), dataset, loss)
+        vm = cost(model.with_params(tm), dataset, loss)
+        g[k] = (vp - vm) / (2.0 * step)
+    return g

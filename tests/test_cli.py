@@ -119,6 +119,9 @@ def test_smoothness_evaluates_the_bound_once(tmp_path, monkeypatch):
     ["landscape", "--weights", REFERENCE, "--range", "a:b"],
     ["landscape", "--weights", REFERENCE, "--resolution", "x"],
     ["train", "--lr-drops", "5"],
+    ["train", "--lr", "0"],
+    ["train", "--clip-norm", "0"],
+    ["train", "--lr-drops", "5:0"],
 ])
 def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
     assert run(argv, tmp_path) == cli.EXIT_CONFIG

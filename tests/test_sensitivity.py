@@ -9,12 +9,19 @@ from rnnlab.sensitivity import (
     Sequence,
     cost,
     cost_and_gradient_reverse,
-    fd_gradient,
     gradient,
-    propagate_sensitivity,
 )
 
-from helpers import DrivenScalar, FixedScalarLinear, ScalarLinear, rel_err
+from helpers import (
+    DrivenScalar,
+    FixedScalarLinear,
+    ScalarLinear,
+    TanhMap,
+    fd_gradient,
+    forward_gradient,
+    propagate_sensitivity,
+    rel_err,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +169,8 @@ def test_cost_requires_matching_widths():
     seq = Sequence(np.zeros((2, 0)), np.zeros((2, 3)), x0=np.array([0.0]))
     with pytest.raises(LengthMismatch):
         cost(model, [seq])
+    with pytest.raises(LengthMismatch):
+        gradient(model, [seq])
 
 
 def test_reference_cost_minimum_at_true_scale():
@@ -272,7 +281,7 @@ def test_reverse_matches_forward(kind):
         )
         for _ in range(3)
     ]
-    g_fwd = gradient(cell, seqs)
+    g_fwd = forward_gradient(cell, seqs)
     v_rev, g_rev = cost_and_gradient_reverse(cell, seqs)
     assert abs(v_rev - cost(cell, seqs)) < 1e-12
     assert rel_err(g_rev, g_fwd) < 1e-8
@@ -292,10 +301,56 @@ def test_reverse_masked_cross_entropy_matches_forward():
         mask = np.zeros(T, dtype=bool)
         mask[-1] = True
         seqs.append(Sequence(inputs=inputs, targets=targets, mask=mask))
-    g_fwd = gradient(cell, seqs, SIGMOID_CROSS_ENTROPY)
+    g_fwd = forward_gradient(cell, seqs, SIGMOID_CROSS_ENTROPY)
     v_rev, g_rev = cost_and_gradient_reverse(cell, seqs, SIGMOID_CROSS_ENTROPY)
     assert abs(v_rev - cost(cell, seqs, SIGMOID_CROSS_ENTROPY)) < 1e-12
     assert rel_err(g_rev, g_fwd) < 1e-8
+
+
+def _random_sequences(model, lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [Sequence(rng.standard_normal((n, model.input_dim)),
+                     rng.standard_normal((n, model.output_dim)),
+                     x0=0.5 * rng.standard_normal(model.state_dim))
+            for n in lengths]
+
+
+@pytest.mark.parametrize("model", [ScalarLinear(0.8), DrivenScalar(0.7, a=0.9), TanhMap(1.3)])
+def test_default_reverse_route_matches_the_forward_oracle(model):
+    # the models have no backward pass of their own: the default one from jacobians
+    seqs = _random_sequences(model, [12, 12, 12], seed=11)
+    v, g = cost_and_gradient_reverse(model, seqs)
+    assert abs(v - cost(model, seqs)) < 1e-12
+    assert rel_err(g, forward_gradient(model, seqs)) < 1e-12
+
+
+@pytest.mark.parametrize("model", [DrivenScalar(0.7, a=0.9),
+                                   make_cell("lstm", 3, n_input=2, n_output=2, init_seed=4)])
+def test_sequences_of_different_lengths_give_the_oracle_gradient(model):
+    seqs = _random_sequences(model, [10, 15], seed=12)
+    v, g = cost_and_gradient_reverse(model, seqs)
+    assert abs(v - cost(model, seqs)) < 1e-12
+    assert rel_err(g, forward_gradient(model, seqs)) < 1e-12
+
+
+def test_gradient_is_one_batched_pass_without_jacobians(monkeypatch):
+    from rnnlab.cells import LstmCell
+
+    calls = {"forward_batch": 0, "jacobians": 0}
+    for name in calls:
+        original = getattr(LstmCell, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(LstmCell, name, counted)
+    rng = np.random.default_rng(13)
+    cell = make_cell("lstm", 4, n_input=2, init_seed=1)
+    seqs = [Sequence(rng.standard_normal((20, 2)), rng.standard_normal(20))
+            for _ in range(3)]
+    gradient(cell, seqs)
+    assert calls == {"forward_batch": 1, "jacobians": 0}
 
 
 def test_gradient_fd_agreement_on_contractive_driven_system():

@@ -116,6 +116,32 @@ def test_bound_L_V_prime_classes():
     assert abs(rate - 3 * np.log(lf)) < 0.05 * 3 * np.log(lf)
 
 
+def _bound_L_V_prime_double_sum(c):
+    """The docstring's sums over t and l = 1..t, term by term."""
+    S = c.S_table()
+    total = 0.0
+    for t in range(1, c.N + 1):
+        M = c.M_scale * S[t]
+        T = c.K4 * (c.L_g_prime * M + c.L_g ** 2)
+        ells = np.arange(1, t + 1)
+        seg = np.cumsum(S[t:0:-1])[::-1]                 # sum_{j=l..t} S(j)
+        power = c.L_f ** (t - ells)
+        P = power * (c.L_g * c.L_f_prime * seg + c.L_f * c.L_g_prime * S[t])
+        Q = power * (c.K4 * M * c.L_g * c.L_f_prime * seg + c.L_f * T * S[t])
+        L_J = P.sum() + c.L_g_prime * S[t]
+        L_Jy = Q.sum() + T * S[t]
+        total += c.K3 * c.L_y * L_J + L_Jy
+    return total / c.N
+
+
+@pytest.mark.parametrize("L_f", [0.9, 1.0, 1.1])
+def test_bound_L_V_prime_equals_the_double_sum(L_f):
+    for N in (200, 1000, 2000):
+        c = SmoothnessConstants(L_f=L_f, N=N)
+        want = _bound_L_V_prime_double_sum(c)
+        assert abs(bound_L_V_prime(c) - want) <= 1e-12 * want
+
+
 def test_bound_report_fields():
     rep = bound_report(SmoothnessConstants(L_f=1.0, N=100))
     assert rep["regime"] == "marginal"
@@ -154,6 +180,33 @@ def test_empirical_quadratic_gradient_lipschitz():
     expected = 2.0 * (n - 1) / n
     assert est.L_V_prime_hat == pytest.approx(expected, rel=0.05)
     assert est.n_divergent == 0
+
+
+def test_empirical_gradient_takes_one_forward_pass_per_point(monkeypatch):
+    from rnnlab import sensitivity
+    from rnnlab.cells import LstmCell, make_cell
+
+    calls = {"forward_batch": 0, "simulate": 0}
+    forward_batch, simulate = LstmCell.forward_batch, sensitivity.simulate
+
+    def counted_forward(self, x0, Z):
+        calls["forward_batch"] += 1
+        return forward_batch(self, x0, Z)
+
+    def counted_simulate(*args):
+        calls["simulate"] += 1
+        return simulate(*args)
+
+    monkeypatch.setattr(LstmCell, "forward_batch", counted_forward)
+    monkeypatch.setattr(sensitivity, "simulate", counted_simulate)
+    cell = make_cell("lstm", 3, n_input=1, init_seed=0)
+    rng = np.random.default_rng(0)
+    ds = [Sequence(rng.standard_normal((12, 1)), rng.standard_normal(12)) for _ in range(2)]
+    theta = cell.params.values
+    est = empirical_lipschitz_V(cell.with_params, ds, theta_low=theta - 0.1,
+                                theta_high=theta + 0.1, n_pairs=10, rng_seed=0)
+    assert est.n_pairs_used == 10
+    assert calls == {"forward_batch": 20, "simulate": 0}
 
 
 def test_empirical_contractive_plateau_in_horizon():

@@ -112,6 +112,25 @@ def test_rollout_records_each_row_and_stops_when_all_diverged():
     assert np.isnan(both.states[9:]).all()   # never written: the loop stopped
 
 
+def test_rollout_keeps_the_row_axis_of_per_row_inputs_without_input_dims():
+    x0 = np.array([[1.0], [2.0], [-1.0]])
+    run = rollout(ScalarLinear(0.5), x0, np.zeros((6, 3, 0)))
+    assert run.inputs.shape == (6, 3, 0)
+    assert run.outputs.shape == (6, 3, 1)
+    assert np.array_equal(run.states[:, :, 0], 0.5 ** np.arange(6)[:, None] * x0[:, 0])
+
+
+def test_rollout_with_per_row_inputs_steps_each_row_on_its_own():
+    model = DrivenScalar(0.7, a=0.9)
+    inputs = np.random.default_rng(0).standard_normal((8, 2, 1))
+    x0 = np.array([[0.3], [-0.2]])
+    run = rollout(model, x0, inputs)
+    for b in range(2):
+        one = simulate(model, x0[b], inputs[:, b])
+        assert np.array_equal(run.states[:, b], one.states)
+        assert np.array_equal(run.outputs[:, b], one.outputs)
+
+
 def test_closed_loop_rows_report_a_non_finite_input():
     model = FeedthroughMap(dim=1)
     feedback = lambda y: 1e200 * y   # row 0 overflows at once, row 1 by step 3

@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from rnnlab.cells import make_cell, spectral_norm
-from rnnlab.training import SymbolTask, TrainConfig, load_run, save_run, train
+from rnnlab.training import SineTask, SymbolTask, TrainConfig, load_run, save_run, train
 
 
 def test_config_document_matches_the_written_field_list():
@@ -36,3 +36,13 @@ def test_stable_lstm_run_round_trips_and_stays_projected(tmp_path):
         for name in back.projected_blocks:
             assert spectral_norm(back.params.get(name)) <= 0.9 * (1.0 + 1e-12)
     assert np.array_equal(snapshots[-1][1].params.values, model.params.values)
+
+
+def test_sine_lstm_loss_falls_at_every_epoch():
+    task = SineTask()
+    cell = make_cell("lstm", 8, n_input=1, bias=True, readout="linear", n_output=1,
+                     init_seed=0)
+    _, run = train(cell, task, TrainConfig(epochs=3, lr0=1e-4, seed=0))
+    losses = [row["loss"] for row in run.history]
+    assert len(losses) == 3
+    assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
