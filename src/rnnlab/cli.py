@@ -1,7 +1,13 @@
 """Command-line frontend: every analysis as a reproducible, file-emitting command.
 
 Commands: simulate, bifurcate, landscape, train, smoothness, entropy,
-lyapunov.  Shared flags: --config (strict JSON document), --seed, --out.
+lyapunov.  Each command declares its options once, as rows
+``(name, parse, default, help)`` of one table.  The option ``name`` is
+both the flag ``--name`` (``_`` written as ``-``) and the key ``name`` of
+the strict JSON document given by ``--config``.  A flag wins over a config
+value, which wins over the default.  Whichever source a value comes from,
+the option's ``parse`` checks and converts it, so a flag and a config value
+asking for the same run give the same outputs and the same spec hash.
 Exit codes: 0 ok, 2 config error, 3 numerical divergence, 4 I/O error.
 Every output file embeds the resolved-config hash, the seed and the
 package version, so re-running a command reproduces its outputs byte for
@@ -25,7 +31,7 @@ from .analysis import (
     entropy_linear_gaussian,
     epoch_bifurcation,
 )
-from .cells import load_cell, make_cell
+from .cells import cell_from_dict, make_cell
 from .errors import ConfigError, DivergentCost, NonFiniteState, RnnLabError, SingularMatrix
 from .sensitivity import LOSSES, Sequence
 from .smoothness import (
@@ -52,36 +58,154 @@ EXIT_IO = 4
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# option values: each parser takes a flag string or a JSON value
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path, allowed):
-    if path is None:
-        return {}
+def _typed(convert, types, what):
+    """A parser that converts a value of one of ``types`` (bool is not an int)."""
+    def parse(value):
+        try:
+            if type(value) in types:
+                return convert(value)
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"expected {what}, got {value!r}")
+
+    return parse
+
+
+_int = _typed(int, (int, str), "an integer")
+_float = _typed(float, (int, float, str), "a number")
+_str = _typed(str, (str,), "a string")
+_switch = _typed(bool, (bool,), "true or false")   # a flag without a value
+
+
+def _choice(*allowed):
+    def parse(value):
+        if value in allowed:
+            return value
+        raise ConfigError(f"expected one of {', '.join(allowed)}, got {value!r}")
+
+    parse.choices = allowed
+    return parse
+
+
+def _list_of(parse_item):
+    """Comma-separated values; a config may also give a JSON list or one value."""
+    def parse(value):
+        items = value if isinstance(value, list) else str(value).split(",")
+        try:
+            return [parse_item(v) for v in items if v != ""]
+        except ConfigError:
+            raise ConfigError(f"expected a comma-separated list, got {value!r}") from None
+
+    return parse
+
+
+_floats, _ints = _list_of(_float), _list_of(_int)
+
+
+def _range(value):
+    try:
+        lo, hi = (float(v) for v in _str(value).split(":"))
+    except ValueError:
+        raise ConfigError(f"expected lo:hi, got {value!r}") from None
+    return lo, hi
+
+
+def _ranges(value):
+    return [_range(r) for r in _str(value).split(",")]
+
+
+def _drops(value):
+    try:
+        return [(int(e), float(f)) for e, f in (
+            item.split(":") for item in _str(value).split(",") if item.strip())]
+    except ValueError:
+        raise ConfigError(f"expected epoch:factor,..., got {value!r}") from None
+
+
+def _read_json(path, what):
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+            return json.load(fh)
+        except ValueError as err:
+            raise ConfigError(f"{what} {path} is not valid JSON: {err}") from None
+
+
+def _matrix(value):
+    text = _str(value)
+    if text.startswith("diag:"):
+        return np.diag(_floats(text[len("diag:"):]))
+    if not text.endswith(".json"):
+        raise ConfigError(f"expected 'diag:a,b,...' or a .json file, got {text!r}")
+    doc = _read_json(text, "matrix file")
+    try:
+        return np.asarray(doc, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"matrix file {text} does not hold a matrix of numbers") from None
+
+
+# ---------------------------------------------------------------------------
+# option tables and the resolver
+# ---------------------------------------------------------------------------
+
+# A row (name, parse, default, help) declares the flag --name ("_" written
+# "-") and the config key name.  A default of None leaves the option unset:
+# the command then derives its value from other options or goes without.
+_HIDDEN = ("hidden", _int, 32, "hidden units")
+_MODEL = (
+    ("weights", _str, None, "cell weights JSON file"),
+    ("cell", _str, None, "cell kind: vanilla|lstm|slstm|ornn"),
+    _HIDDEN,
+    ("inputs", _int, 0, "input dimension"),
+    ("readout", _choice("identity", "linear"), None,
+     "output map (default identity without inputs, else linear)"),
+    ("outputs", _int, 1, "output dimension of a linear readout"),
+)
+_START = (
+    ("input", _floats, None,
+     "constant input, comma separated (write --input=-1,... if it starts negative)"),
+    ("x0", _floats, None,
+     "initial state, comma separated (write --x0=-0.5,... if it starts negative)"),
+)
+_SEED = ("seed", _int, 0, "random seed")
+_RUN = (_SEED, ("out", _str, "out", "output directory"))
+_STEPS = ("steps", _int, 200, "simulated steps (of the dataset, for a landscape)")
+_SCALE = ("scale", _float, None, "scale theta by s")
+_BURN_IN = ("burn_in", _int, 100, "transient steps discarded")
+
+
+def _load_config(path, names):
+    if path is None:
+        return {}
+    doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(doc) - set(allowed)
+    unknown = set(doc) - set(names)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return doc
 
 
-def _resolve(args, config, key, default=None):
-    """CLI flag wins over config value wins over default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _resolve(options, args):
+    """Flag wins over config value (null is absent) wins over default; all are parsed."""
+    config = _load_config(args.config, [name for name, *_ in options])
+    values = {}
+    for name, parse, default, _ in options:
+        for value in (getattr(args, name), config.get(name), default):
+            if value is not None:
+                break
+        if value is not None:
+            try:
+                value = parse(value)
+            except ConfigError as err:
+                raise ConfigError(f"{name}: {err}") from None
+        values[name] = value
+    return argparse.Namespace(**values)
 
 
 def _spec_hash(resolved: dict) -> str:
@@ -103,92 +227,57 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _outdir(args):
-    out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
+def _outdir(opts):
+    os.makedirs(opts.out, exist_ok=True)
+    return opts.out
 
 
-# ---------------------------------------------------------------------------
-# argument helpers
-# ---------------------------------------------------------------------------
-
-
-def _parse_floats(text):
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_range(text):
-    try:
-        lo, hi = (float(v) for v in str(text).split(":"))
-    except ValueError:
-        raise ConfigError(f"range must look like lo:hi, got {text!r}") from None
-    return lo, hi
-
-
-def _parse_matrix(text):
-    if text is None:
-        raise ConfigError("missing matrix specification")
-    text = str(text)
-    if text.startswith("diag:"):
-        return np.diag(_parse_floats(text[len("diag:"):]))
-    if text.endswith(".json"):
-        if not os.path.exists(text):
-            raise ConfigError(f"matrix file not found: {text}")
-        with open(text) as fh:
-            return np.asarray(json.load(fh), dtype=float)
-    raise ConfigError(f"matrix must be 'diag:a,b,...' or a .json file, got {text!r}")
+def _emit_json(opts, name, doc):
+    path = os.path.join(_outdir(opts), name)
+    _write_json(path, doc)
+    print(path)
+    return EXIT_OK
 
 
 def _load_weights_model(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"weights file not found: {path}")
-    with open(path) as fh:
-        doc = json.load(fh)
-    cell = load_cell(path)
-    x0 = doc.get("x0")
-    x0 = np.asarray(x0, dtype=float) if x0 is not None else cell.initial_state()
+    doc = _read_json(path, "weights file")
+    try:
+        cell = cell_from_dict(doc)
+        x0 = doc.get("x0")
+        x0 = np.asarray(x0, dtype=float) if x0 is not None else cell.initial_state()
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"weights file {path} is not a cell document: "
+                          f"{type(err).__name__} {err}") from None
     return cell, x0
 
 
-def _resolve_model(args, config, seed):
-    """Model + default x0 from --weights or from a --cell description."""
-    weights = _resolve(args, config, "weights")
-    if weights:
-        cell, x0 = _load_weights_model(weights)
-        return cell, x0, {"weights": weights}
-    kind = _resolve(args, config, "cell")
-    if not kind:
-        raise ConfigError("need either --weights or --cell")
-    hidden = int(_resolve(args, config, "hidden", 32))
-    inputs = int(_resolve(args, config, "inputs", 0))
-    readout = _resolve(args, config, "readout", "identity" if inputs == 0 else "linear")
-    outputs = int(_resolve(args, config, "outputs", 1))
-    cell = make_cell(kind, hidden, n_input=inputs, bias=inputs > 0,
-                     readout=readout, n_output=outputs, init_seed=seed)
-    desc = {"cell": kind, "hidden": hidden, "inputs": inputs,
-            "readout": readout, "outputs": outputs}
-    return cell, cell.initial_state(), desc
+def _resolve_model(opts):
+    """Model, x0 and model description from --weights or from a --cell description.
 
-
-def _resolve_x0(args, config, model, default):
-    """Initial state from --x0 or the config key ``x0``, else ``default``.
-
-    The value is a comma-separated list (or, in a config, a JSON list) of
-    exactly ``model.state_dim`` numbers.
+    The model is scaled by the ``scale`` option of the commands that have one.
     """
-    value = _resolve(args, config, "x0")
-    try:
-        if value is None:
-            x0 = np.asarray(default, dtype=float)
-        else:
-            x0 = np.asarray(value if isinstance(value, list) else _parse_floats(value),
-                            dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"x0 must be a list of numbers: {err}") from None
+    if opts.weights:
+        model, x0 = _load_weights_model(opts.weights)
+        desc = {"weights": opts.weights}
+    elif opts.cell:
+        readout = opts.readout or ("identity" if opts.inputs == 0 else "linear")
+        model = make_cell(opts.cell, opts.hidden, n_input=opts.inputs,
+                          bias=opts.inputs > 0, readout=readout,
+                          n_output=opts.outputs, init_seed=opts.seed)
+        x0 = model.initial_state()
+        desc = {"cell": opts.cell, "hidden": opts.hidden, "inputs": opts.inputs,
+                "readout": readout, "outputs": opts.outputs}
+    else:
+        raise ConfigError("need either --weights or --cell")
+    scale = getattr(opts, "scale", None)
+    if scale is not None:
+        model = model.with_params(scale * model.params.values)
+    return model, _resolve_x0(opts, model, x0), desc
+
+
+def _resolve_x0(opts, model, default):
+    """Initial state from the x0 option, else ``default``: ``model.state_dim`` numbers."""
+    x0 = np.asarray(default if opts.x0 is None else opts.x0, dtype=float)
     if x0.shape != (model.state_dim,):
         raise ConfigError(f"x0 needs {model.state_dim} values, got {x0.size}")
     return x0
@@ -197,14 +286,9 @@ def _resolve_x0(args, config, model, default):
 def _constant_inputs(model, value, steps):
     if model.input_dim == 0:
         return np.zeros((steps, 0))
-    if value is None:
-        u = np.zeros(model.input_dim)
-    else:
-        u = np.asarray(_parse_floats(value), dtype=float)
-        if u.size != model.input_dim:
-            raise ConfigError(
-                f"input needs {model.input_dim} values, got {u.size}"
-            )
+    u = np.zeros(model.input_dim) if value is None else np.asarray(value, dtype=float)
+    if u.size != model.input_dim:
+        raise ConfigError(f"input needs {model.input_dim} values, got {u.size}")
     return np.tile(u, (steps, 1))
 
 
@@ -212,26 +296,19 @@ def _constant_inputs(model, value, steps):
 # commands
 # ---------------------------------------------------------------------------
 
-_SIM_KEYS = ("weights", "cell", "hidden", "inputs", "readout", "outputs",
-             "steps", "input", "x0", "scale", "seed", "out")
+_SIMULATE = _MODEL + (_STEPS, _SCALE) + _START + _RUN
 
 
-def cmd_simulate(args):
-    config = _load_config(args.config, _SIM_KEYS)
-    seed = int(_resolve(args, config, "seed", 0))
-    model, x0, desc = _resolve_model(args, config, seed)
-    steps = int(_resolve(args, config, "steps", 200))
-    scale = _resolve(args, config, "scale")
-    if scale is not None:
-        model = model.with_params(float(scale) * model.params.values)
-    x0 = _resolve_x0(args, config, model, x0)
-    inputs = _constant_inputs(model, _resolve(args, config, "input"), steps)
+def cmd_simulate(opts):
+    seed, steps = opts.seed, opts.steps
+    model, x0, desc = _resolve_model(opts)
+    inputs = _constant_inputs(model, opts.input, steps)
 
-    resolved = {"command": "simulate", "steps": steps, "scale": scale,
+    resolved = {"command": "simulate", "steps": steps, "scale": opts.scale,
                 "x0": [float(v) for v in x0], "seed": seed, **desc}
     meta = _meta(resolved, seed)
     traj = simulate(model, x0, inputs)
-    out = _outdir(args)
+    out = _outdir(opts)
     traj.to_csv(os.path.join(out, "trajectory.csv"), meta=meta)
     traj.to_json(
         os.path.join(out, "trajectory.json"),
@@ -244,40 +321,38 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-_BIF_KEYS = ("weights", "cell", "hidden", "inputs", "readout", "outputs",
-             "sweep", "range", "points", "burn_in", "record", "projection",
-             "feedback", "input", "x0", "run_dir", "seed", "out")
+_BIFURCATE = _MODEL + (
+    ("sweep", _choice("s", "epoch"), "s", "sweep the ray scale s or training epochs"),
+    ("range", _range, "0:1.6", "lo:hi sweep range"),
+    ("points", _int, 81, "sweep values"),
+    _BURN_IN,
+    ("record", _int, 100, "steady-state steps recorded per sweep value"),
+    ("projection", _str, "output:0", "output:<i> or state_mean"),
+    ("feedback", _choice("none", "argmax"), "none", "closed-loop input of an epoch sweep"),
+    ("run_dir", _str, None, "training run directory of an epoch sweep"),
+) + _START + _RUN
 
 
-def cmd_bifurcate(args):
-    config = _load_config(args.config, _BIF_KEYS)
-    seed = int(_resolve(args, config, "seed", 0))
-    sweep_kind = _resolve(args, config, "sweep", "s")
-    burn_in = int(_resolve(args, config, "burn_in", 100))
-    record = int(_resolve(args, config, "record", 100))
-    projection = _resolve(args, config, "projection", "output:0")
-    feedback = _resolve(args, config, "feedback", "none")
+def cmd_bifurcate(opts):
+    seed, burn_in, record = opts.seed, opts.burn_in, opts.record
 
-    if sweep_kind == "s":
-        model, x0, desc = _resolve_model(args, config, seed)
-        lo, hi = _parse_range(_resolve(args, config, "range", "0:1.6"))
-        points = int(_resolve(args, config, "points", 81))
-        s_values = np.linspace(lo, hi, points)
+    if opts.sweep == "s":
+        model, x0, desc = _resolve_model(opts)
+        lo, hi = opts.range
+        s_values = np.linspace(lo, hi, opts.points)
         theta0 = model.params.values.copy()
-        u_value = _resolve(args, config, "input")
-        u = _constant_inputs(model, u_value, 1)[0]
-        x0 = _resolve_x0(args, config, model, x0)
+        u = _constant_inputs(model, opts.input, 1)[0]
         resolved = {"command": "bifurcate", "sweep": "s", "range": [lo, hi],
-                    "points": points, "burn_in": burn_in, "record": record,
-                    "projection": projection, "x0": x0.tolist(), "seed": seed,
+                    "points": opts.points, "burn_in": burn_in, "record": record,
+                    "projection": opts.projection, "x0": x0.tolist(), "seed": seed,
                     **desc}
         diagram = bifurcation_sweep(
             lambda s: model.with_params(s * theta0),
             s_values, u, x0, burn_in=burn_in, record=record,
-            projection=projection,
+            projection=opts.projection,
         )
-    elif sweep_kind == "epoch":
-        run_dir = _resolve(args, config, "run_dir")
+    else:
+        run_dir = opts.run_dir
         if not run_dir:
             raise ConfigError("--sweep epoch needs --run-dir")
         if not os.path.isdir(run_dir):
@@ -285,24 +360,21 @@ def cmd_bifurcate(args):
         _, _, snapshots = load_run(run_dir)
         base = snapshots[0][1]
         pairs = [(e, c.params.values) for e, c in snapshots]
-        u_value = _resolve(args, config, "input")
-        u = _constant_inputs(base, u_value, 1)[0]
-        x0 = _resolve_x0(args, config, base, base.initial_state())
+        u = _constant_inputs(base, opts.input, 1)[0]
+        x0 = _resolve_x0(opts, base, base.initial_state())
         # the snapshots, not where the run directory lies, identify the sweep
         snapshot_hashes = [[e, c.params.theta_hash()] for e, c in snapshots]
         resolved = {"command": "bifurcate", "sweep": "epoch",
                     "snapshots": snapshot_hashes, "burn_in": burn_in,
-                    "record": record, "feedback": feedback,
-                    "projection": projection, "x0": x0.tolist(), "seed": seed}
+                    "record": record, "feedback": opts.feedback,
+                    "projection": opts.projection, "x0": x0.tolist(), "seed": seed}
         diagram = epoch_bifurcation(
             pairs, base, u, x0, burn_in=burn_in, record=record,
-            projection=projection, feedback=feedback,
+            projection=opts.projection, feedback=opts.feedback,
         )
-    else:
-        raise ConfigError("--sweep must be 's' or 'epoch'")
 
     meta = _meta(resolved, seed)
-    out = _outdir(args)
+    out = _outdir(opts)
     diagram.to_csv(os.path.join(out, "bifurcation.csv"), meta=meta)
     xs, ys = [], []
     for s in diagram.samples:
@@ -320,22 +392,22 @@ def cmd_bifurcate(args):
     return EXIT_OK
 
 
-_LAND_KEYS = ("weights", "cell", "hidden", "inputs", "readout", "outputs",
-              "along", "range", "resolution", "steps", "loss", "grad",
-              "input", "x0", "seed", "out")
+_LANDSCAPE = _MODEL + (
+    ("along", _str, "true", "true | random | true,random"),
+    ("range", _ranges, "0:1.6", "lo:hi[,lo:hi]"),
+    ("resolution", _ints, 200, "points per axis"),
+    _STEPS,
+    ("loss", _choice(*LOSSES), "squared_error", "cost function"),
+    ("grad", _switch, False, "also write the gradient norm"),
+) + _START + _RUN
 
 
-def cmd_landscape(args):
-    config = _load_config(args.config, _LAND_KEYS)
-    seed = int(_resolve(args, config, "seed", 0))
-    model, x0, desc = _resolve_model(args, config, seed)
-    steps = int(_resolve(args, config, "steps", 200))
-    along = str(_resolve(args, config, "along", "true"))
-    loss = LOSSES[_resolve(args, config, "loss", "squared_error")]
-    with_grad = bool(_resolve(args, config, "grad", False))
-    x0 = _resolve_x0(args, config, model, x0)
+def cmd_landscape(opts):
+    seed, steps, along, with_grad = opts.seed, opts.steps, opts.along, opts.grad
+    model, x0, desc = _resolve_model(opts)
+    loss = LOSSES[opts.loss]
 
-    inputs = _constant_inputs(model, _resolve(args, config, "input"), steps)
+    inputs = _constant_inputs(model, opts.input, steps)
     data_traj = simulate(model, x0, inputs)
     dataset = [Sequence(inputs=inputs, targets=data_traj.outputs, x0=x0)]
 
@@ -355,13 +427,7 @@ def cmd_landscape(args):
         else:
             raise ConfigError(f"--along accepts 'true' and 'random', got {name!r}")
 
-    range_text = str(_resolve(args, config, "range", "0:1.6"))
-    ranges = [_parse_range(r) for r in range_text.split(",")]
-    res_text = str(_resolve(args, config, "resolution", "200"))
-    try:
-        resolution = [int(r) for r in res_text.split(",")]
-    except ValueError:
-        raise ConfigError(f"resolution must be integers, got {res_text!r}") from None
+    ranges, resolution = opts.range, opts.resolution
     if len(ranges) != len(axes) or len(resolution) != len(axes):
         raise ConfigError("--range and --resolution must match the number of axes")
 
@@ -374,7 +440,7 @@ def cmd_landscape(args):
         lambda theta: model.with_params(theta), dataset, loss,
         axes, ranges, resolution, with_gradient=with_grad,
     )
-    out = _outdir(args)
+    out = _outdir(opts)
     grid.to_csv(os.path.join(out, "landscape.csv"), meta=meta)
     desc_text = f"spec_hash={meta['spec_hash']} seed={seed} version={__version__}"
     if grid.ndim == 1:
@@ -391,63 +457,55 @@ def cmd_landscape(args):
     return EXIT_OK
 
 
-_TRAIN_KEYS = ("cell", "task", "hidden", "length", "epochs", "lr", "batch_size",
-               "clip_norm", "snapshot_every", "target_norm", "stop_at",
-               "lr_drops", "seed", "out")
+_TRAIN = (
+    ("cell", _str, "lstm", "cell kind: vanilla|lstm|slstm|ornn"),
+    ("task", _choice("sine", "symbols"), "sine", "training task"),
+    _HIDDEN,
+    ("length", _int, 50, "symbol sequence length"),
+    ("epochs", _int, None, "epochs (default 1500 sine, 2000 symbols)"),
+    ("lr", _float, None, "initial learning rate (default 1e-3 sine, 1e-2 symbols)"),
+    ("batch_size", _int, None, "batch size, 0 for all (default 0 sine, 100 symbols)"),
+    ("clip_norm", _float, 0.25, "global gradient-norm clip"),
+    ("snapshot_every", _int, None, "epochs between snapshots (default epochs // 15)"),
+    ("target_norm", _float, 0.97, "slstm recurrent-norm bound"),
+    ("stop_at", _float, None, "stop at this validation metric (default 1.0 for accuracy)"),
+    ("lr_drops", _drops, None, "epoch:factor list, e.g. 500:10,1000:10"),
+    _SEED,
+    ("out", _str, None, "run directory (default run-<task>-<cell>-seed<seed>)"),
+)
 
 
-def cmd_train(args):
-    config = _load_config(args.config, _TRAIN_KEYS)
-    seed = int(_resolve(args, config, "seed", 0))
-    kind = _resolve(args, config, "cell", "lstm")
-    task_name = _resolve(args, config, "task", "sine")
-    hidden = int(_resolve(args, config, "hidden", 32))
+def _given(value, default):
+    return default if value is None else value
 
+
+def cmd_train(opts):
+    seed, kind, task_name = opts.seed, opts.cell, opts.task
+    drops = [(500, 10.0), (1000, 10.0), (2000, 10.0)]
     if task_name == "sine":
-        task = SineTask()
-        default = dict(epochs=1500, lr=1e-3, batch=0,
-                       drops=[(500, 10.0), (1000, 10.0), (2000, 10.0)] if kind == "slstm" else [])
-    elif task_name == "symbols":
-        length = int(_resolve(args, config, "length", 50))
-        task = SymbolTask(length=length, seed=seed)
-        default = dict(epochs=2000, lr=1e-2, batch=100,
-                       drops=[(500, 10.0), (1000, 10.0), (2000, 10.0)])
+        task, epochs, lr, batch = SineTask(), 1500, 1e-3, 0
+        drops = drops if kind == "slstm" else []
     else:
-        raise ConfigError(f"unknown task {task_name!r}")
+        task = SymbolTask(length=opts.length, seed=seed)
+        epochs, lr, batch = 2000, 1e-2, 100
+    epochs = _given(opts.epochs, epochs)
+    stop_at = _given(opts.stop_at, 1.0 if task.metric_kind == "accuracy" else None)
 
-    epochs = int(_resolve(args, config, "epochs", default["epochs"]))
-    lr = float(_resolve(args, config, "lr", default["lr"]))
-    batch = int(_resolve(args, config, "batch_size", default["batch"]))
-    clip = float(_resolve(args, config, "clip_norm", 0.25))
-    every = int(_resolve(args, config, "snapshot_every", max(epochs // 15, 1)))
-    target_norm = float(_resolve(args, config, "target_norm", 0.97))
-    stop_at = _resolve(args, config, "stop_at",
-                       1.0 if task.metric_kind == "accuracy" else None)
-    drops_text = _resolve(args, config, "lr_drops")
-    if drops_text is None:
-        drops = default["drops"]
-    else:
-        try:
-            drops = [(int(e), float(f)) for e, f in (
-                item.split(":") for item in str(drops_text).split(",") if item.strip())]
-        except ValueError:
-            raise ConfigError(
-                f"lr drops must look like epoch:factor,..., got {drops_text!r}") from None
-
-    cell = make_cell(kind, hidden, n_input=task.input_dim, bias=True,
+    cell = make_cell(kind, opts.hidden, n_input=task.input_dim, bias=True,
                      readout="linear", n_output=task.output_dim,
-                     init_seed=seed, target_norm=target_norm)
+                     init_seed=seed, target_norm=opts.target_norm)
     tconf = TrainConfig(
-        epochs=epochs, lr0=lr, clip_norm=clip, batch_size=batch,
-        lr_drops=drops, snapshot_every=every, seed=seed,
-        stop_at_metric=float(stop_at) if stop_at is not None else None,
+        epochs=epochs, lr0=_given(opts.lr, lr), clip_norm=opts.clip_norm,
+        batch_size=_given(opts.batch_size, batch), lr_drops=_given(opts.lr_drops, drops),
+        snapshot_every=_given(opts.snapshot_every, max(epochs // 15, 1)),
+        seed=seed, stop_at_metric=stop_at,
     )
     resolved = {"command": "train", "cell": kind, "task": task_name,
-                "hidden": hidden, "train": tconf.to_dict(), "seed": seed}
+                "hidden": opts.hidden, "train": tconf.to_dict(), "seed": seed}
     meta = _meta(resolved, seed)
 
     model, run = train(cell, task, tconf)
-    out = args.out or f"run-{task_name}-{kind}-seed{seed}"
+    out = opts.out or f"run-{task_name}-{kind}-seed{seed}"
     save_run(run, out, extra_meta=meta)
     result = task.evaluate(model)
     print(f"{out}: final {result.kind}={result.metric:.6g} "
@@ -455,50 +513,46 @@ def cmd_train(args):
     return EXIT_OK
 
 
-_SMOOTH_KEYS = ("bounds", "Lf", "N", "Lg", "Lfp", "Lgp", "K1", "K2", "K3", "K4",
-                "Ly", "M_scale", "seed", "out")
+_SMOOTHNESS = (
+    ("bounds", _switch, True, "closed-form bound report, the only mode"),
+    ("Lf", _float, 1.0, "Lipschitz constant of f in the state"),
+    ("N", _int, 100, "horizon"),
+    ("Lg", _float, 1.0, "Lipschitz constant of g"),
+    ("Lfp", _float, 1.0, "Lipschitz constant of the derivative of f"),
+    ("Lgp", _float, 1.0, "Lipschitz constant of the derivative of g"),
+    *((f"K{i}", _float, 2.0, f"bound constant K{i}") for i in range(1, 5)),
+    ("Ly", _float, 1.0, "Lipschitz constant of the loss"),
+    ("M_scale", _float, 1.0, "output-magnitude bound M(t) = M_scale * S(t)"),
+) + _RUN
 
 
-def cmd_smoothness(args):
-    config = _load_config(args.config, _SMOOTH_KEYS)
-    seed = int(_resolve(args, config, "seed", 0))
-    if not _resolve(args, config, "bounds", True):
+def cmd_smoothness(opts):
+    if not opts.bounds:
         raise ConfigError("only --bounds mode is available from the CLI")
     c = SmoothnessConstants(
-        L_f=float(_resolve(args, config, "Lf", 1.0)),
-        N=int(_resolve(args, config, "N", 100)),
-        L_g=float(_resolve(args, config, "Lg", 1.0)),
-        L_f_prime=float(_resolve(args, config, "Lfp", 1.0)),
-        L_g_prime=float(_resolve(args, config, "Lgp", 1.0)),
-        K1=float(_resolve(args, config, "K1", 2.0)),
-        K2=float(_resolve(args, config, "K2", 2.0)),
-        K3=float(_resolve(args, config, "K3", 2.0)),
-        K4=float(_resolve(args, config, "K4", 2.0)),
-        L_y=float(_resolve(args, config, "Ly", 1.0)),
-        M_scale=float(_resolve(args, config, "M_scale", 1.0)),
+        L_f=opts.Lf, N=opts.N, L_g=opts.Lg, L_f_prime=opts.Lfp, L_g_prime=opts.Lgp,
+        K1=opts.K1, K2=opts.K2, K3=opts.K3, K4=opts.K4, L_y=opts.Ly,
+        M_scale=opts.M_scale,
     )
     report = bound_report(c)
-    resolved = {"command": "smoothness", "inputs": report["inputs"], "seed": seed}
-    doc = {**_meta(resolved, seed), **report}
-    out = _outdir(args)
-    path = os.path.join(out, "smoothness.json")
-    _write_json(path, doc)
-    print(path)
-    return EXIT_OK
+    resolved = {"command": "smoothness", "inputs": report["inputs"], "seed": opts.seed}
+    return _emit_json(opts, "smoothness.json", {**_meta(resolved, opts.seed), **report})
 
 
-_ENTROPY_KEYS = ("A", "Sigma0", "T", "Lf", "seed", "out")
+_ENTROPY = (
+    ("A", _matrix, None, "transition matrix: diag:a,b,... or a matrix .json file"),
+    ("Sigma0", _matrix, None, "initial covariance, same syntax (default identity)"),
+    ("T", _int, 10, "steps"),
+    ("Lf", _float, None, "Lipschitz constant of the map (default the 2-norm of A)"),
+) + _RUN
 
 
-def cmd_entropy(args):
-    config = _load_config(args.config, _ENTROPY_KEYS)
-    seed = int(_resolve(args, config, "seed", 0))
-    A = _parse_matrix(_resolve(args, config, "A"))
-    sigma_text = _resolve(args, config, "Sigma0")
-    sigma0 = _parse_matrix(sigma_text) if sigma_text else np.eye(A.shape[0])
-    T = int(_resolve(args, config, "T", 10))
-    lf_arg = _resolve(args, config, "Lf")
-    L_f = float(lf_arg) if lf_arg is not None else float(np.linalg.norm(A, 2))
+def cmd_entropy(opts):
+    A, seed, T = opts.A, opts.seed, opts.T
+    if A is None:
+        raise ConfigError("missing matrix specification: --A")
+    sigma0 = _given(opts.Sigma0, np.eye(A.shape[0]))
+    L_f = _given(opts.Lf, float(np.linalg.norm(A, 2)))
 
     resolved = {"command": "entropy", "A": A.tolist(), "Sigma0": sigma0.tolist(),
                 "T": T, "Lf": L_f, "seed": seed}
@@ -517,59 +571,39 @@ def cmd_entropy(args):
         "upper_ok": report.upper_ok.tolist(),
         "lower_ok": report.lower_ok.tolist(),
     }
-    out = _outdir(args)
-    path = os.path.join(out, "entropy.json")
-    _write_json(path, doc)
-    print(path)
-    return EXIT_OK
+    return _emit_json(opts, "entropy.json", doc)
 
 
-_LYAP_KEYS = ("weights", "cell", "hidden", "inputs", "readout", "outputs",
-              "scale", "burn_in", "horizon", "input", "x0", "seed", "out")
+_LYAPUNOV = _MODEL + (
+    _SCALE, _BURN_IN, ("horizon", _int, 1000, "steps averaged after the burn-in"),
+) + _START + _RUN
 
 
-def cmd_lyapunov(args):
-    config = _load_config(args.config, _LYAP_KEYS)
-    seed = int(_resolve(args, config, "seed", 0))
-    model, x0, desc = _resolve_model(args, config, seed)
-    scale = _resolve(args, config, "scale")
-    if scale is not None:
-        model = model.with_params(float(scale) * model.params.values)
-    burn_in = int(_resolve(args, config, "burn_in", 100))
-    horizon = int(_resolve(args, config, "horizon", 1000))
-    x0 = _resolve_x0(args, config, model, x0)
-    u = _constant_inputs(model, _resolve(args, config, "input"), 1)[0]
+def cmd_lyapunov(opts):
+    seed, burn_in, horizon = opts.seed, opts.burn_in, opts.horizon
+    model, x0, desc = _resolve_model(opts)
+    u = _constant_inputs(model, opts.input, 1)[0]
 
-    resolved = {"command": "lyapunov", "scale": scale, "burn_in": burn_in,
+    resolved = {"command": "lyapunov", "scale": opts.scale, "burn_in": burn_in,
                 "horizon": horizon, "x0": x0.tolist(), "seed": seed, **desc}
     meta = _meta(resolved, seed)
     value = lyapunov_exponent(model, x0, u, burn_in=burn_in, horizon=horizon)
-    doc = {**meta, "lyapunov_exponent": float(value)}
-    out = _outdir(args)
-    path = os.path.join(out, "lyapunov.json")
-    _write_json(path, doc)
-    print(path)
-    return EXIT_OK
+    return _emit_json(opts, "lyapunov.json", {**meta, "lyapunov_exponent": float(value)})
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-
-def _add_shared(p):
-    p.add_argument("--config", help="JSON config document (strict keys)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-
-
-def _add_model_flags(p):
-    p.add_argument("--weights", help="cell weights JSON file")
-    p.add_argument("--cell", help="cell kind: vanilla|lstm|slstm|ornn")
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--inputs", type=int, default=None)
-    p.add_argument("--readout", choices=["identity", "linear"], default=None)
-    p.add_argument("--outputs", type=int, default=None)
+_COMMANDS = {
+    "simulate": ("run a model forward, write CSV/JSON", _SIMULATE),
+    "bifurcate": ("steady-state diagram over s or epochs", _BIFURCATE),
+    "landscape": ("cost along 1-D/2-D parameter rays", _LANDSCAPE),
+    "train": ("train a cell on a task, write a run directory", _TRAIN),
+    "smoothness": ("closed-form growth-law bound report", _SMOOTHNESS),
+    "entropy": ("linear-Gaussian entropy trace and bound check", _ENTROPY),
+    "lyapunov": ("largest Lyapunov exponent of a model", _LYAPUNOV),
+}
 
 
 def build_parser():
@@ -578,103 +612,28 @@ def build_parser():
         description="recurrent cells as dynamical systems: simulate, analyze, train",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a model forward, write CSV/JSON")
-    _add_shared(p)
-    _add_model_flags(p)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--input", help="constant input values, comma separated")
-    p.add_argument("--x0", help="initial state, comma separated")
-    p.add_argument("--scale", type=float, default=None, help="scale theta by s")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("bifurcate", help="steady-state diagram over s or epochs")
-    _add_shared(p)
-    _add_model_flags(p)
-    p.add_argument("--sweep", choices=["s", "epoch"], default=None)
-    p.add_argument("--range", default=None, help="lo:hi sweep range")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-    p.add_argument("--record", type=int, default=None)
-    p.add_argument("--projection", default=None)
-    p.add_argument("--feedback", choices=["none", "argmax"], default=None)
-    p.add_argument("--input", help="constant input values")
-    p.add_argument("--x0", help="initial state")
-    p.add_argument("--run-dir", default=None, dest="run_dir")
-    p.set_defaults(fn=cmd_bifurcate)
-
-    p = sub.add_parser("landscape", help="cost along 1-D/2-D parameter rays")
-    _add_shared(p)
-    _add_model_flags(p)
-    p.add_argument("--along", default=None, help="true | random | true,random")
-    p.add_argument("--range", default=None, help="lo:hi[,lo:hi]")
-    p.add_argument("--resolution", default=None, help="points per axis")
-    p.add_argument("--steps", type=int, default=None, help="dataset length")
-    p.add_argument("--loss", choices=list(LOSSES), default=None)
-    p.add_argument("--grad", action="store_const", const=True, default=None)
-    p.add_argument("--input", help="constant input values")
-    p.add_argument("--x0", help="initial state")
-    p.set_defaults(fn=cmd_landscape)
-
-    p = sub.add_parser("train", help="train a cell on a task, write a run directory")
-    _add_shared(p)
-    p.add_argument("--cell", default=None)
-    p.add_argument("--task", choices=["sine", "symbols"], default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--length", type=int, default=None, help="symbol sequence length")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--clip-norm", type=float, default=None, dest="clip_norm")
-    p.add_argument("--snapshot-every", type=int, default=None, dest="snapshot_every")
-    p.add_argument("--target-norm", type=float, default=None, dest="target_norm")
-    p.add_argument("--stop-at", type=float, default=None, dest="stop_at")
-    p.add_argument("--lr-drops", default=None, dest="lr_drops",
-                   help="epoch:factor list, e.g. 500:10,1000:10")
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("smoothness", help="closed-form growth-law bound report")
-    _add_shared(p)
-    p.add_argument("--bounds", action="store_const", const=True, default=None)
-    p.add_argument("--Lf", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--Lg", type=float, default=None)
-    p.add_argument("--Lfp", type=float, default=None)
-    p.add_argument("--Lgp", type=float, default=None)
-    p.add_argument("--K1", type=float, default=None)
-    p.add_argument("--K2", type=float, default=None)
-    p.add_argument("--K3", type=float, default=None)
-    p.add_argument("--K4", type=float, default=None)
-    p.add_argument("--Ly", type=float, default=None)
-    p.add_argument("--M-scale", type=float, default=None, dest="M_scale")
-    p.set_defaults(fn=cmd_smoothness)
-
-    p = sub.add_parser("entropy", help="linear-Gaussian entropy trace and bound check")
-    _add_shared(p)
-    p.add_argument("--A", default=None, help="diag:a,b,... or matrix .json")
-    p.add_argument("--Sigma0", default=None, help="initial covariance (same syntax)")
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--Lf", type=float, default=None)
-    p.set_defaults(fn=cmd_entropy)
-
-    p = sub.add_parser("lyapunov", help="largest Lyapunov exponent of a model")
-    _add_shared(p)
-    _add_model_flags(p)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--input", help="constant input values")
-    p.add_argument("--x0", help="initial state")
-    p.set_defaults(fn=cmd_lyapunov)
-
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config document; its keys are option names")
+        for name, parse, default, text in options:
+            flag = "--" + name.replace("_", "-")
+            if default is not None:
+                text = f"{text} (default {default})"
+            if parse is _switch:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            else:
+                choices = getattr(parse, "choices", None)
+                p.add_argument(flag, help=text,
+                               metavar="{" + ",".join(choices) + "}" if choices else None)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        opts = _resolve(_COMMANDS[args.command][1], args)
+        # looked up now, so that a replaced cmd_* function is the one called
+        return globals()[f"cmd_{args.command}"](opts)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

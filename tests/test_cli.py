@@ -1,6 +1,7 @@
 import json
 import shutil
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from rnnlab.errors import DivergentCost
 
 REFERENCE = str(files("rnnlab").joinpath("data", "chaotic_lstm_2x2.json"))
 X0 = "0.5,0.5,0.5,0.5"
+DATA = Path(__file__).parent / "data"
+NOT_JSON = str(DATA / "not_json.json")
+NO_KIND = str(DATA / "no_kind.json")
 
 
 def run(argv, out):
@@ -122,6 +126,9 @@ def test_smoothness_evaluates_the_bound_once(tmp_path, monkeypatch):
     ["train", "--lr", "0"],
     ["train", "--clip-norm", "0"],
     ["train", "--lr-drops", "5:0"],
+    ["simulate", "--weights", NOT_JSON],
+    ["simulate", "--weights", NO_KIND],
+    ["entropy", "--A", NOT_JSON],
 ])
 def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
     assert run(argv, tmp_path) == cli.EXIT_CONFIG
@@ -135,3 +142,78 @@ def test_weights_of_an_unknown_format_version_exit_config(tmp_path, capsys):
     weights.write_text(json.dumps(doc))
     assert run(["simulate", "--weights", str(weights)], tmp_path) == cli.EXIT_CONFIG
     assert "format_version 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc, code", [
+    ("simulate", {"cell": "lstm", "hidden": "abc"}, cli.EXIT_CONFIG),
+    ("landscape", {"weights": REFERENCE, "loss": "foo"}, cli.EXIT_CONFIG),
+    ("simulate", {"cell": "lstm", "hidden": 2, "readout": "foo"}, cli.EXIT_CONFIG),
+    ("train", {"hidden": 2, "epochs": 1, "stop_at": "x"}, cli.EXIT_CONFIG),
+    ("landscape", {"weights": REFERENCE, "grad": "false", "resolution": 5, "steps": 5},
+     cli.EXIT_CONFIG),
+    ("simulate", {"weights": REFERENCE, "steps": 2.7}, cli.EXIT_CONFIG),
+    ("landscape", {"weights": REFERENCE, "resolution": 200, "steps": 5}, cli.EXIT_OK),
+    ("simulate", {"weights": REFERENCE, "steps": 5, "x0": [0.5, 0.5, 0.5, 0.5]},
+     cli.EXIT_OK),
+    ("simulate", {"cell": "lstm", "hidden": 2, "inputs": 1, "input": 0.07, "steps": 5},
+     cli.EXIT_OK),
+    ("simulate", {"cell": "lstm", "hidden": None, "steps": 5}, cli.EXIT_OK),
+])
+def test_config_values_get_the_checks_of_flags(command, doc, code, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert run([command, "--config", str(config)], tmp_path / "out") == code
+    assert ("config error" in capsys.readouterr().err) == (code == cli.EXIT_CONFIG)
+
+
+def json_value(text):
+    """A flag value as a config would give it: a JSON number or list if it reads as one."""
+    for candidate in (text, f"[{text}]"):
+        try:
+            return json.loads(candidate)
+        except ValueError:
+            pass
+    return text
+
+
+def as_config(argv, out):
+    """The options of ``argv`` and the output directory as a config document."""
+    doc, rest = {"out": str(out)}, list(argv[1:])
+    while rest:
+        name = rest.pop(0)[2:].replace("-", "_")
+        switch = not rest or rest[0].startswith("--")
+        doc[name] = True if switch else json_value(rest.pop(0))
+    return doc
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--weights", REFERENCE, "--steps", "20", "--scale", "1", "--x0", X0],
+    ["bifurcate", "--weights", REFERENCE, "--range", "0.8:1.6", "--points", "5",
+     "--burn-in", "10", "--record", "6", "--x0", X0],
+    ["landscape", "--weights", REFERENCE, "--range", "0.8:1.2", "--resolution", "9",
+     "--steps", "30", "--x0", X0, "--grad"],
+    ["lyapunov", "--weights", REFERENCE, "--scale", "1", "--burn-in", "10",
+     "--horizon", "100"],
+    ["smoothness", "--Lf", "1", "--N", "50", "--K1", "3", "--bounds"],
+    ["entropy", "--A", "diag:0.5,1.2", "--T", "5", "--Lf", "2"],
+    ["train", "--task", "sine", "--cell", "lstm", "--hidden", "2", "--epochs", "2",
+     "--clip-norm", "1", "--seed", "3"],
+], ids=lambda argv: argv[0])
+def test_flags_and_config_are_the_same_request(argv, tmp_path):
+    assert run(argv, tmp_path / "flags") == cli.EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(as_config(argv, tmp_path / "config")))
+    assert cli.main([argv[0], "--config", str(config)]) == cli.EXIT_OK
+    written = tree(tmp_path / "flags")
+    assert written and written == tree(tmp_path / "config")
+
+
+def test_an_output_path_that_is_a_file_exits_io(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["smoothness"], blocker) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
