@@ -20,12 +20,16 @@ gates in one product, with no change of layout.
 
 ``step`` and ``output`` broadcast over a leading axis of P stacked points:
 the state may be (P, N_x) and the parameters (P, N_theta), as built by
-``with_params`` from a matrix of parameter vectors.  ``jacobians`` is
-single-point.  Cells override the batched backward pass of the gradient
-route, where a batch of sequences shares one theta, with hand-derived code;
-only the LSTM keeps a forward pass of its own, to cache its gates.  The
-test suite checks the backward passes against forward sensitivity
-propagation and finite differences.
+``with_params`` from a matrix of parameter vectors.  So does
+``step_tangent``, the step with the product A V for tangents V (..., N_x, k):
+each kind forms A V from the gates of its step, never building A, and this
+is the one place a kind derives A (``jacobians`` takes it as A I).
+``jacobians`` is single-point.  Cells override the batched backward pass of
+the gradient route, where a batch of sequences shares one theta, with
+hand-derived code; only the LSTM keeps a forward pass of its own, to cache
+its gates.  The test suite checks the backward passes against forward
+sensitivity propagation and finite differences, and the tangents against
+finite-difference Jacobians.
 """
 
 from __future__ import annotations
@@ -158,7 +162,9 @@ class _Cell(DynamicalModel):
     readout y = W_out h + b_out adds its blocks after them and draws W_out
     last; the identity readout y = h has none.  ``_CONFIG`` names the
     constructor arguments that, with theta, describe a cell: ``with_params``
-    and the cell file format are built from it.
+    and the cell file format are built from it.  Besides ``step``, a kind
+    gives ``step_tangent``, from which ``jacobians`` takes A, and
+    ``_pre_coefficients``, d x'/d pre of its gates, from which it builds B.
     """
 
     _CONFIG = ("n_hidden", "n_input", "bias", "readout", "n_output")
@@ -258,7 +264,9 @@ class _Cell(DynamicalModel):
 
     def jacobians(self, x, z):
         x = np.asarray(x, dtype=float)
-        A, B = self._state_jacobians(x, np.asarray(z, dtype=float))
+        z = np.asarray(z, dtype=float)
+        A = self.step_tangent(x, z, np.eye(self.state_dim))[1]
+        B = self._param_jacobian(self._pre_coefficients(x, z), self._hidden_of(x), z)
         C = np.zeros((self.output_dim, self.state_dim))
         F = np.zeros((self.output_dim, self.n_params))
         if self.readout == "identity":
@@ -272,7 +280,8 @@ class _Cell(DynamicalModel):
         return A, B, C, F
 
     def _param_jacobian(self, coef, h, z):
-        """B = d x'/d theta from coef = d x'/d pre, (..., K, H) for the K gates."""
+        """B = d x'/d theta from coef = d x'/d pre (``_pre_coefficients``),
+        (..., K, H) for the K gates."""
         B = np.zeros((self.state_dim, self.n_params))
         layout = self.params.layout
         self._recurrent_param_jacobian(B, coef, h)
@@ -334,9 +343,13 @@ class VanillaRnnCell(_Cell):
     def step(self, x, z):
         return np.tanh(self._pre(np.asarray(x, dtype=float), np.asarray(z, dtype=float)))
 
-    def _state_jacobians(self, x, z):
-        d = 1.0 - np.tanh(self._pre(x, z)) ** 2
-        return d[:, None] * self._recurrent_matrix(), self._param_jacobian(d[None], x, z)
+    def step_tangent(self, x, z, V):
+        """The step and A V = d * (W V), with d = 1 - tanh(pre)^2 = 1 - h'^2."""
+        h_new = self.step(x, z)
+        return h_new, (1.0 - h_new ** 2)[..., None] * (self._recurrent_matrix() @ V)
+
+    def _pre_coefficients(self, x, z):
+        return (1.0 - self.step(x, z) ** 2)[None]
 
     # ---- batched backward pass (the forward pass is the default rollout) ----
 
@@ -427,6 +440,13 @@ def _unstack(gates):
     return gates[..., 0, :], gates[..., 1, :], gates[..., 2, :], gates[..., 3, :]
 
 
+def _slopes(gates):
+    """d gate / d pre of a (..., 4, H) stack: sigmoid' at rows i, f, o, tanh' at g."""
+    slope = gates * (1.0 - gates)
+    slope[..., 2, :] = 1.0 - gates[..., 2, :] ** 2
+    return slope
+
+
 class LstmCell(_Cell):
     """Gated cell on the stacked state x = [h, c] (so N_x = 2 * N_h).
 
@@ -474,31 +494,45 @@ class LstmCell(_Cell):
         h_new = o * np.tanh(c_new)
         return np.concatenate([h_new, c_new], axis=-1)
 
-    def _state_jacobians(self, x, z):
+    def step_tangent(self, x, z, V):
+        """The step and A V for V = [dh; dc], (..., 2H, k).  W dh gives the
+        pre-activation tangents of all four gates; scaled by the gate slopes
+        they are di, df, da, do, and
+
+            dc' = df c + f dc + di a + i da
+            dh' = do tanh(c') + o (1 - tanh(c')^2) dc'
+        """
+        x = np.asarray(x, dtype=float)
+        V = np.asarray(V, dtype=float)
         H = self.n_hidden
+        h, c = self.split_state(x)
+        gates = self._gates(h, np.asarray(z, dtype=float))
+        i, f, a, o = _unstack(gates)
+        c_new = f * c + i * a
+        tc = np.tanh(c_new)
+        x_new = np.concatenate([o * tc, c_new], axis=-1)
+
+        dpre = self._recurrent_matrix() @ V[..., :H, :]
+        dgates = dpre.reshape(dpre.shape[:-2] + (4, H, dpre.shape[-1]))
+        dgates *= _slopes(gates)[..., None]
+        di, df, da, do = (dgates[..., k, :, :] for k in range(4))
+        # the gates and c as columns, against the k tangent columns
+        i, f, a, o, c, tc = (v[..., None] for v in (i, f, a, o, c, tc))
+        dc = df * c + f * V[..., H:, :] + di * a + i * da
+        dh = do * tc + o * (1.0 - tc ** 2) * dc
+        return x_new, np.concatenate([dh, dc], axis=-2)
+
+    def _pre_coefficients(self, x, z):
+        """d h'/d pre_k and d c'/d pre_k, stacked as (2, 4, H): rows of h', then c'."""
         h, c = self.split_state(x)
         gates = self._gates(h, z)
         i, f, a, o = gates
         tc = np.tanh(f * c + i * a)
-        slope = gates * (1.0 - gates)      # sigmoid' at rows i, f, o
-        slope[2] = 1.0 - a ** 2            # tanh' at row g
-        h_through_c = o * (1.0 - tc ** 2)
-
-        # pre-activation coefficients d c'/d pre_k and d h'/d pre_k, rows k
-        c_coef = np.stack([a, c, i, np.zeros(H)]) * slope
-        h_coef = h_through_c * c_coef
+        slope = _slopes(gates)
+        c_coef = np.stack([a, c, i, np.zeros(self.n_hidden)]) * slope
+        h_coef = o * (1.0 - tc ** 2) * c_coef
         h_coef[3] = tc * slope[3]
-
-        W = self._recurrent_matrix().reshape(4, H, H)
-        dc_dh = (c_coef[:3, :, None] * W[:3]).sum(axis=0)
-        dh_dh = h_coef[3][:, None] * W[3] + h_through_c[:, None] * dc_dh
-        A = np.zeros((2 * H, 2 * H))
-        A[:H, :H] = dh_dh
-        A[:H, H:] = np.diag(h_through_c * f)
-        A[H:, :H] = dc_dh
-        A[H:, H:] = np.diag(f)
-        # rows of h', then rows of c'
-        return A, self._param_jacobian(np.stack([h_coef, c_coef]), h, z)
+        return np.stack([h_coef, c_coef])
 
     # ---- batched forward and backward passes ----
 
@@ -531,8 +565,7 @@ class LstmCell(_Cell):
         dc = np.zeros((B, H))
         for t in range(T - 2, -1, -1):
             i, f, a, o = _unstack(gates[t])
-            slope = gates[t] * (1.0 - gates[t])
-            slope[:, 2] = 1.0 - a ** 2
+            slope = _slopes(gates[t])
             tc = np.tanh(cs[t + 1])
             dct = dc + dh * o * (1.0 - tc ** 2)
             dpre = np.stack([dct * a, dct * cs[t], dct * i, dh * tc], axis=1) * slope

@@ -40,7 +40,7 @@ from .smoothness import (
     landscape_sweep,
     local_minima_census,
 )
-from .statespace import lyapunov_exponent, simulate
+from .statespace import MIN_LYAPUNOV_HORIZON, lyapunov_exponent, simulate
 from .svgplot import svg_heatmap, svg_line, svg_scatter
 from .training import (
     SineTask,
@@ -81,6 +81,25 @@ _str = _typed(str, (str,), "a string")
 _switch = _typed(bool, (bool,), "true or false")   # a flag without a value
 
 
+def _checked(parse, ok, what):
+    """``parse``, then a range check: ``ok(value)`` must hold; ``what`` names
+    the values it accepts."""
+    def check(value):
+        value = parse(value)
+        if not ok(value):
+            raise ConfigError(f"expected {what}, got {value!r}")
+        return value
+
+    return check
+
+
+def _at_least(low):
+    return _checked(_int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_positive = _checked(_float, lambda v: v > 0, "a number > 0")
+
+
 def _choice(*allowed):
     def parse(value):
         if value in allowed:
@@ -97,13 +116,13 @@ def _list_of(parse_item):
         items = value if isinstance(value, list) else str(value).split(",")
         try:
             return [parse_item(v) for v in items if v != ""]
-        except ConfigError:
-            raise ConfigError(f"expected a comma-separated list, got {value!r}") from None
+        except ConfigError as err:
+            raise ConfigError(f"{err}, in the comma-separated list {value!r}") from None
 
     return parse
 
 
-_floats, _ints = _list_of(_float), _list_of(_int)
+_floats = _list_of(_float)
 
 
 def _range(value):
@@ -124,6 +143,15 @@ def _drops(value):
             item.split(":") for item in _str(value).split(",") if item.strip())]
     except ValueError:
         raise ConfigError(f"expected epoch:factor,..., got {value!r}") from None
+
+
+def _projection(value):
+    """``output``, ``output:<i>`` or ``state_mean``, as ``make_projection`` reads them."""
+    text = _str(value)
+    kind, sep, index = text.partition(":")
+    if text == "state_mean" or (kind == "output" and (not sep or index.isdecimal())):
+        return text
+    raise ConfigError(f"expected output:<i> or state_mean, got {text!r}")
 
 
 def _read_json(path, what):
@@ -156,15 +184,15 @@ def _matrix(value):
 # A row (name, parse, default, help) declares the flag --name ("_" written
 # "-") and the config key name.  A default of None leaves the option unset:
 # the command then derives its value from other options or goes without.
-_HIDDEN = ("hidden", _int, 32, "hidden units")
+_HIDDEN = ("hidden", _at_least(1), 32, "hidden units")
 _MODEL = (
     ("weights", _str, None, "cell weights JSON file"),
     ("cell", _str, None, "cell kind: vanilla|lstm|slstm|ornn"),
     _HIDDEN,
-    ("inputs", _int, 0, "input dimension"),
+    ("inputs", _at_least(0), 0, "input dimension"),
     ("readout", _choice("identity", "linear"), None,
      "output map (default identity without inputs, else linear)"),
-    ("outputs", _int, 1, "output dimension of a linear readout"),
+    ("outputs", _at_least(1), 1, "output dimension of a linear readout"),
 )
 _START = (
     ("input", _floats, None,
@@ -174,9 +202,9 @@ _START = (
 )
 _SEED = ("seed", _int, 0, "random seed")
 _RUN = (_SEED, ("out", _str, "out", "output directory"))
-_STEPS = ("steps", _int, 200, "simulated steps (of the dataset, for a landscape)")
+_STEPS = ("steps", _at_least(1), 200, "simulated steps (of the dataset, for a landscape)")
 _SCALE = ("scale", _float, None, "scale theta by s")
-_BURN_IN = ("burn_in", _int, 100, "transient steps discarded")
+_BURN_IN = ("burn_in", _at_least(0), 100, "transient steps discarded")
 
 
 def _load_config(path, names):
@@ -283,6 +311,13 @@ def _resolve_x0(opts, model, default):
     return x0
 
 
+def _check_projection(projection, model):
+    index = projection.partition(":")[2]
+    if index and int(index) >= model.output_dim:
+        raise ConfigError(f"projection: expected an output below {model.output_dim}, "
+                          f"got {projection!r}")
+
+
 def _constant_inputs(model, value, steps):
     if model.input_dim == 0:
         return np.zeros((steps, 0))
@@ -324,10 +359,10 @@ def cmd_simulate(opts):
 _BIFURCATE = _MODEL + (
     ("sweep", _choice("s", "epoch"), "s", "sweep the ray scale s or training epochs"),
     ("range", _range, "0:1.6", "lo:hi sweep range"),
-    ("points", _int, 81, "sweep values"),
+    ("points", _at_least(1), 81, "sweep values"),
     _BURN_IN,
-    ("record", _int, 100, "steady-state steps recorded per sweep value"),
-    ("projection", _str, "output:0", "output:<i> or state_mean"),
+    ("record", _at_least(1), 100, "steady-state steps recorded per sweep value"),
+    ("projection", _projection, "output:0", "output:<i> or state_mean"),
     ("feedback", _choice("none", "argmax"), "none", "closed-loop input of an epoch sweep"),
     ("run_dir", _str, None, "training run directory of an epoch sweep"),
 ) + _START + _RUN
@@ -342,6 +377,7 @@ def cmd_bifurcate(opts):
         s_values = np.linspace(lo, hi, opts.points)
         theta0 = model.params.values.copy()
         u = _constant_inputs(model, opts.input, 1)[0]
+        _check_projection(opts.projection, model)
         resolved = {"command": "bifurcate", "sweep": "s", "range": [lo, hi],
                     "points": opts.points, "burn_in": burn_in, "record": record,
                     "projection": opts.projection, "x0": x0.tolist(), "seed": seed,
@@ -362,6 +398,7 @@ def cmd_bifurcate(opts):
         pairs = [(e, c.params.values) for e, c in snapshots]
         u = _constant_inputs(base, opts.input, 1)[0]
         x0 = _resolve_x0(opts, base, base.initial_state())
+        _check_projection(opts.projection, base)
         # the snapshots, not where the run directory lies, identify the sweep
         snapshot_hashes = [[e, c.params.theta_hash()] for e, c in snapshots]
         resolved = {"command": "bifurcate", "sweep": "epoch",
@@ -395,7 +432,7 @@ def cmd_bifurcate(opts):
 _LANDSCAPE = _MODEL + (
     ("along", _str, "true", "true | random | true,random"),
     ("range", _ranges, "0:1.6", "lo:hi[,lo:hi]"),
-    ("resolution", _ints, 200, "points per axis"),
+    ("resolution", _list_of(_at_least(2)), 200, "points per axis"),
     _STEPS,
     ("loss", _choice(*LOSSES), "squared_error", "cost function"),
     ("grad", _switch, False, "also write the gradient norm"),
@@ -461,13 +498,14 @@ _TRAIN = (
     ("cell", _str, "lstm", "cell kind: vanilla|lstm|slstm|ornn"),
     ("task", _choice("sine", "symbols"), "sine", "training task"),
     _HIDDEN,
-    ("length", _int, 50, "symbol sequence length"),
+    ("length", _at_least(SymbolTask.MIN_LENGTH), 50, "symbol sequence length"),
     ("epochs", _int, None, "epochs (default 1500 sine, 2000 symbols)"),
     ("lr", _float, None, "initial learning rate (default 1e-3 sine, 1e-2 symbols)"),
-    ("batch_size", _int, None, "batch size, 0 for all (default 0 sine, 100 symbols)"),
+    ("batch_size", _at_least(0), None, "batch size, 0 for all (default 0 sine, 100 symbols)"),
     ("clip_norm", _float, 0.25, "global gradient-norm clip"),
-    ("snapshot_every", _int, None, "epochs between snapshots (default epochs // 15)"),
-    ("target_norm", _float, 0.97, "slstm recurrent-norm bound"),
+    ("snapshot_every", _at_least(1), None, "epochs between snapshots (default epochs // 15)"),
+    ("target_norm", _checked(_float, lambda v: 0 < v < 1, "a number in (0, 1)"), 0.97,
+     "slstm recurrent-norm bound"),
     ("stop_at", _float, None, "stop at this validation metric (default 1.0 for accuracy)"),
     ("lr_drops", _drops, None, "epoch:factor list, e.g. 500:10,1000:10"),
     _SEED,
@@ -515,8 +553,8 @@ def cmd_train(opts):
 
 _SMOOTHNESS = (
     ("bounds", _switch, True, "closed-form bound report, the only mode"),
-    ("Lf", _float, 1.0, "Lipschitz constant of f in the state"),
-    ("N", _int, 100, "horizon"),
+    ("Lf", _positive, 1.0, "Lipschitz constant of f in the state"),
+    ("N", _at_least(1), 100, "horizon"),
     ("Lg", _float, 1.0, "Lipschitz constant of g"),
     ("Lfp", _float, 1.0, "Lipschitz constant of the derivative of f"),
     ("Lgp", _float, 1.0, "Lipschitz constant of the derivative of g"),
@@ -542,8 +580,8 @@ def cmd_smoothness(opts):
 _ENTROPY = (
     ("A", _matrix, None, "transition matrix: diag:a,b,... or a matrix .json file"),
     ("Sigma0", _matrix, None, "initial covariance, same syntax (default identity)"),
-    ("T", _int, 10, "steps"),
-    ("Lf", _float, None, "Lipschitz constant of the map (default the 2-norm of A)"),
+    ("T", _at_least(0), 10, "steps"),
+    ("Lf", _positive, None, "Lipschitz constant of the map (default the 2-norm of A)"),
 ) + _RUN
 
 
@@ -575,7 +613,8 @@ def cmd_entropy(opts):
 
 
 _LYAPUNOV = _MODEL + (
-    _SCALE, _BURN_IN, ("horizon", _int, 1000, "steps averaged after the burn-in"),
+    _SCALE, _BURN_IN,
+    ("horizon", _at_least(MIN_LYAPUNOV_HORIZON), 1000, "steps averaged after the burn-in"),
 ) + _START + _RUN
 
 

@@ -8,11 +8,13 @@ A model is the pair of maps
 with analytic Jacobians A = df/dx, B = df/dtheta, C = dg/dx, F = dg/dtheta.
 Everything downstream (simulation, fixed points, Lyapunov exponents,
 gradients, bifurcation diagrams, smoothness estimates) is built on this
-contract, so concrete cells only implement step/output/jacobians.  Two
-defaults give every model the batched pass of the gradient route:
-``forward_batch`` is one :func:`rollout` over per-row inputs, with the
-:class:`Rollout` as its cache, and ``backward_batch`` accumulates in reverse
-from ``jacobians``, one row at a time.
+contract, so concrete cells only implement step/output/jacobians.  Three
+defaults build on those.  ``step_tangent`` returns the step and the product
+A V of the state Jacobian with a block of tangent vectors, from
+``jacobians``; a cell overrides it to form A V from the step's own gates,
+without building A.  ``forward_batch`` is one :func:`rollout` over per-row
+inputs, with the :class:`Rollout` as its cache, and ``backward_batch``
+accumulates in reverse from ``jacobians``, one row at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class DynamicalModel:
     ``with_params`` of a matrix), and the input (N_z,) shared by all rows
     or (P, N_z).  A sweep calls its model family once, with every point
     stacked, and steps all of them together through :func:`rollout`.
-    ``jacobians`` is single-point.
+    ``step_tangent`` broadcasts the same way, with tangents V of shape
+    (..., N_x, k).  ``jacobians`` is single-point.
     """
 
     state_dim: int
@@ -61,6 +64,14 @@ class DynamicalModel:
     def jacobians(self, x, z):
         """Return (A, B, C, F) evaluated at (x, z, self.params)."""
         raise NotImplementedError
+
+    def step_tangent(self, x, z, V):
+        """``(step(x, z), A @ V)``: the next state, and the k tangent columns
+        of V (..., N_x, k) carried through the step.  This default builds A
+        from the single-point ``jacobians``; cells override it with a
+        Jacobian-vector product that never builds A.  The state it returns
+        is ``step(x, z)`` bit for bit."""
+        return self.step(x, z), self.jacobians(x, z)[0] @ V
 
     def with_params(self, values) -> "DynamicalModel":
         """New model of the same kind with a replacement flat theta."""
@@ -120,11 +131,10 @@ class Trajectory:
             for k, v in meta.items():
                 lines.append(f"# {k}={v}")
         lines.append(header)
-        for t in range(len(self)):
-            row = [str(self.t0 + t)]
-            row += [repr(float(v)) for v in self.states[t]]
-            row += [repr(float(v)) for v in self.outputs[t]]
-            lines.append(",".join(row))
+        # Python floats from one tolist(): repr of each is the shortest round trip
+        rows = np.hstack([self.states, self.outputs]).tolist()
+        for t, row in enumerate(rows, self.t0):
+            lines.append(",".join([str(t), *map(repr, row)]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -141,9 +151,9 @@ class Trajectory:
         }
         if meta:
             doc.update(meta)
+        # one write of the whole document: json.dump would write it piece by piece
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _as_input_array(model, inputs):
@@ -348,14 +358,13 @@ def find_fixed_points(model, u_const, seeds, tol=1e-10, max_iter=100):
         x = seed.copy()
         converged = False
         for _ in range(max_iter):
-            fx = model.step(x, u)
+            fx, A = model.step_tangent(x, u, eye)
             r = fx - x
             if not np.all(np.isfinite(r)):
                 break
             if np.linalg.norm(r) < tol:
                 converged = True
                 break
-            A, _, _, _ = model.jacobians(x, u)
             try:
                 dx = np.linalg.solve(A - eye, -r)
             except np.linalg.LinAlgError:
@@ -366,9 +375,9 @@ def find_fixed_points(model, u_const, seeds, tol=1e-10, max_iter=100):
             continue
         if any(np.linalg.norm(x - fp.x_star) < 10 * tol for fp in roots):
             continue
-        A, _, _, _ = model.jacobians(x, u)
+        fx, A = model.step_tangent(x, u, eye)
         rho = _spectral_radius(A)
-        residual = float(np.linalg.norm(model.step(x, u) - x))
+        residual = float(np.linalg.norm(fx - x))
         roots.append(
             FixedPoint(
                 x_star=x,
@@ -426,16 +435,17 @@ def estimate_lipschitz_f(model, region: Region, u_const, n_samples=200, rng_seed
         raise EmptyRegion("state box is empty")
     rng = np.random.default_rng(rng_seed)
     u = np.asarray(u_const, dtype=float).reshape(model.input_dim)
+    eye = np.eye(model.state_dim)
 
     best = 0.0
     for _ in range(int(n_samples)):
         x = rng.uniform(region.x_low, region.x_high)
-        m = model
         if region.has_theta:
             theta = rng.uniform(region.theta_low, region.theta_high)
-            m = model.with_params(theta)
-        A, B, _, _ = m.jacobians(x, u)
-        J = np.hstack([A, B]) if region.has_theta else A
+            A, B, _, _ = model.with_params(theta).jacobians(x, u)
+            J = np.hstack([A, B])
+        else:
+            J = model.step_tangent(x, u, eye)[1]
         s = float(np.linalg.norm(J, 2))
         if s > best:
             best = s
@@ -454,28 +464,31 @@ def lipschitz_region_from_trajectory(traj: Trajectory, pad=0.0) -> Region:
 # ---------------------------------------------------------------------------
 
 
+MIN_LYAPUNOV_HORIZON = 100
+
+
 def lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
     """Largest Lyapunov exponent of the constant-input map.
 
-    Propagates one tangent direction through the state Jacobians A_t with
-    re-orthonormalization (norm extraction, the one-column case of a QR
-    factorization) at every step; the average log stretch over the
-    horizon is the exponent.  Burn-in steps run first and are discarded.
+    Carries one tangent direction through the step with ``step_tangent``,
+    which forms A_t v without building A_t, and re-normalizes it at every
+    step (the one-column case of a QR re-orthonormalization); the average
+    log stretch over the horizon is the exponent.  Burn-in steps run first
+    and are discarded.
     """
-    if horizon < 100:
-        raise ValueError("horizon must be >= 100")
+    if horizon < MIN_LYAPUNOV_HORIZON:
+        raise ValueError(f"horizon must be >= {MIN_LYAPUNOV_HORIZON}")
     u = np.asarray(u_const, dtype=float).reshape(model.input_dim)
     x = np.asarray(x0, dtype=float).copy()
     for t in range(int(burn_in)):
         x = model.step(x, u)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFiniteState(t + 1)
 
-    v = np.full(model.state_dim, 1.0 / np.sqrt(model.state_dim))
+    v = np.full((model.state_dim, 1), 1.0 / np.sqrt(model.state_dim))
     log_sum = 0.0
     for t in range(int(horizon)):
-        A, _, _, _ = model.jacobians(x, u)
-        v = A @ v
+        x, v = model.step_tangent(x, u, v)
         r = float(np.linalg.norm(v))
         if r == 0.0 or not np.isfinite(r):
             if r == 0.0:
@@ -483,7 +496,6 @@ def lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
             raise NonFiniteState(burn_in + t, "tangent")
         log_sum += np.log(r)
         v /= r
-        x = model.step(x, u)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFiniteState(burn_in + t + 1)
     return log_sum / horizon

@@ -158,9 +158,12 @@ class SymbolTask(Task):
     input_dim = 6
     output_dim = 2
 
+    MIN_LENGTH = 50
+
     def __init__(self, length=50, n_train=1000, n_val=1000, seed=0):
-        if length < 50:
-            raise ValueError("length must be >= 50 to fit the relevant positions")
+        if length < self.MIN_LENGTH:
+            raise ValueError(
+                f"length must be >= {self.MIN_LENGTH} to fit the relevant positions")
         self.length = int(length)
         self.n_train = int(n_train)
         self.n_val = int(n_val)

@@ -2,9 +2,12 @@
 
 The library takes gradients by reverse accumulation only.  The oracles it
 is checked against live here: forward sensitivity propagation (RTRL) and
-central finite differences, of the Jacobians and of the cost.
+central finite differences, of the Jacobians and of the cost.  So do the
+Lyapunov exponent from full state Jacobians, which the library forms as
+tangent products instead, and the element-by-element trajectory writers.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,3 +345,77 @@ def fd_gradient(model, dataset, loss=SQUARED_ERROR, step=1e-6):
         vm = cost(model.with_params(tm), dataset, loss)
         g[k] = (vp - vm) / (2.0 * step)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov and trajectory-file oracles
+# ---------------------------------------------------------------------------
+
+
+def jacobian_lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
+    """Largest Lyapunov exponent from the full state Jacobian A_t of ``jacobians``
+    at every step: v <- A_t v / |A_t v|, averaging log |A_t v|."""
+    u = np.asarray(u_const, dtype=float).reshape(model.input_dim)
+    x = np.asarray(x0, dtype=float).copy()
+    for t in range(int(burn_in)):
+        x = model.step(x, u)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteState(t + 1)
+
+    v = np.full(model.state_dim, 1.0 / np.sqrt(model.state_dim))
+    log_sum = 0.0
+    for t in range(int(horizon)):
+        A, _, _, _ = model.jacobians(x, u)
+        v = A @ v
+        r = float(np.linalg.norm(v))
+        if r == 0.0 or not np.isfinite(r):
+            if r == 0.0:
+                return -np.inf
+            raise NonFiniteState(burn_in + t, "tangent")
+        log_sum += np.log(r)
+        v /= r
+        x = model.step(x, u)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteState(burn_in + t + 1)
+    return log_sum / horizon
+
+
+def trajectory_csv_by_element(traj, path, meta=None):
+    """``Trajectory.to_csv`` written one numpy element at a time."""
+    n_x = traj.states.shape[1]
+    n_y = traj.outputs.shape[1]
+    header = ",".join(
+        ["t"] + [f"x{i}" for i in range(n_x)] + [f"y{i}" for i in range(n_y)]
+    )
+    lines = []
+    if meta:
+        for k, v in meta.items():
+            lines.append(f"# {k}={v}")
+    lines.append(header)
+    for t in range(len(traj)):
+        row = [str(traj.t0 + t)]
+        row += [repr(float(v)) for v in traj.states[t]]
+        row += [repr(float(v)) for v in traj.outputs[t]]
+        lines.append(",".join(row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def trajectory_json_streamed(traj, path, model_name="model", theta_hash=None, seed=None,
+                             meta=None):
+    """``Trajectory.to_json`` streamed through ``json.dump``."""
+    doc = {
+        "format_version": 1,
+        "model": model_name,
+        "theta_hash": theta_hash,
+        "seed": seed,
+        "t0": traj.t0,
+        "states": traj.states.tolist(),
+        "outputs": traj.outputs.tolist(),
+        "inputs": traj.inputs.tolist(),
+    }
+    if meta:
+        doc.update(meta)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

@@ -217,6 +217,25 @@ def test_jacobians_without_inputs_or_bias(kind):
         assert rel_err(got, want) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+@pytest.mark.parametrize("n_input, bias", [(2, True), (0, False)])
+def test_step_tangent_is_the_step_and_the_jacobian_times_v(kind, n_input, bias):
+    rng = np.random.default_rng(17)
+    cell = make_cell(kind, 3, n_input=n_input, bias=bias, readout="identity", init_seed=6)
+    thetas = cell.params.values + 0.3 * rng.standard_normal((3, cell.n_params))
+    x = rng.standard_normal((3, cell.state_dim))
+    z = rng.standard_normal((3, n_input))
+    V = rng.standard_normal((3, cell.state_dim, 2))
+    stacked_x, stacked_AV = cell.with_params(thetas).step_tangent(x, z, V)
+    for i in range(3):
+        one = cell.with_params(thetas[i])
+        x_next, AV = one.step_tangent(x[i], z[i], V[i])
+        assert np.array_equal(x_next, one.step(x[i], z[i]))
+        assert rel_err(AV, fd_jacobians(one, x[i], z[i])[0] @ V[i]) < 1e-6
+        assert np.allclose(stacked_x[i], x_next, rtol=1e-13, atol=1e-15)
+        assert np.allclose(stacked_AV[i], AV, rtol=1e-13, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # orthogonal parametrization
 # ---------------------------------------------------------------------------

@@ -135,6 +135,25 @@ def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--weights", REFERENCE, "--horizon", "50"],
+    ["lyapunov", "--weights", REFERENCE, "--burn-in", "-5", "--horizon", "100"],
+    ["bifurcate", "--weights", REFERENCE, "--points", "3", "--projection", "foo"],
+    ["bifurcate", "--weights", REFERENCE, "--points", "3", "--projection", "output:2"],
+    ["smoothness", "--N", "0"],
+    ["smoothness", "--Lf", "0"],
+    ["simulate", "--weights", REFERENCE, "--steps", "0"],
+    ["landscape", "--weights", REFERENCE, "--resolution", "1"],
+    ["train", "--task", "symbols", "--length", "10"],
+    ["train", "--cell", "slstm", "--target-norm", "1"],
+    ["entropy", "--A", "diag:0.5", "--Lf", "0"],
+])
+def test_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
+    assert run(argv, tmp_path / "out") == cli.EXIT_CONFIG
+    assert "expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_weights_of_an_unknown_format_version_exit_config(tmp_path, capsys):
     doc = json.loads(open(REFERENCE).read())
     doc["format_version"] = 99

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnnlab.cells import chaotic_reference_cell
+from rnnlab.cells import chaotic_reference_cell, make_cell
 from rnnlab.errors import NonFiniteState
 from rnnlab.statespace import (
     Region,
@@ -21,6 +21,9 @@ from helpers import (
     RotationMap,
     ScalarLinear,
     TanhMap,
+    jacobian_lyapunov_exponent,
+    trajectory_csv_by_element,
+    trajectory_json_streamed,
 )
 
 X0_REF = np.array([0.5, 0.5, 0.5, 0.5])
@@ -301,6 +304,31 @@ def test_lyapunov_sign_matches_fixed_point_stability():
     assert lam < 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+def test_lyapunov_by_tangents_matches_the_jacobian_oracle(scale):
+    cell = chaotic_reference_cell()
+    model = cell.with_params(scale * cell.params.values)
+    lam = lyapunov_exponent(model, X0_REF, np.zeros(0), burn_in=500, horizon=3000)
+    want = jacobian_lyapunov_exponent(model, X0_REF, np.zeros(0), burn_in=500, horizon=3000)
+    assert abs(lam - want) <= 1e-12 * abs(want)
+
+
+def test_lyapunov_builds_no_jacobians(monkeypatch):
+    from rnnlab.cells import LstmCell
+
+    calls = {"step_tangent": 0, "jacobians": 0}
+    for name in calls:
+        original = getattr(LstmCell, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(LstmCell, name, counted)
+    lyapunov_exponent(chaotic_reference_cell(), X0_REF, np.zeros(0), burn_in=10, horizon=200)
+    assert calls == {"step_tangent": 200, "jacobians": 0}
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -332,3 +360,19 @@ def test_trajectory_json_envelope(tmp_path):
     assert doc["seed"] == 7
     assert doc["theta_hash"] == cell.params.theta_hash()
     assert np.array_equal(np.array(doc["states"]), traj.states)
+
+
+def test_trajectory_files_match_the_element_by_element_writers(tmp_path):
+    cell = make_cell("lstm", 2, n_input=1, readout="linear", n_output=3, init_seed=3)
+    traj = simulate(cell, np.array([0.5, -0.25, 1e-300, 3.0]),
+                    np.linspace(-1.0, 1.0, 40)[:, None])
+    traj.t0 = 7
+    meta = {"spec_hash": "abc", "seed": 2}
+    traj.to_csv(tmp_path / "a.csv", meta=meta)
+    trajectory_csv_by_element(traj, tmp_path / "b.csv", meta=meta)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    args = dict(model_name=cell.name, theta_hash=cell.params.theta_hash(), seed=2,
+                meta={"version": "x"})
+    traj.to_json(tmp_path / "a.json", **args)
+    trajectory_json_streamed(traj, tmp_path / "b.json", **args)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
