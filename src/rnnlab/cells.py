@@ -25,10 +25,13 @@ the state may be (P, N_x) and the parameters (P, N_theta), as built by
 each kind forms A V from the gates of its step, never building A, and this
 is the one place a kind derives A (``jacobians`` takes it as A I).
 ``jacobians`` is single-point.  Cells override the batched backward pass of
-the gradient route, where a batch of sequences shares one theta, with
-hand-derived code; only the LSTM keeps a forward pass of its own, to cache
-its gates.  The test suite checks the backward passes against forward
-sensitivity propagation and finite differences, and the tangents against
+the gradient route with hand-derived code; only the LSTM keeps a forward
+pass of its own, to cache its gates.  The pass runs a batch of sequences
+under one shared theta, adding the weight gradients with one GEMM per
+weight group at every step, or under each row of a stacked cell, summing
+them per row once after the loop.  The test suite checks the backward
+passes against forward sensitivity propagation and finite differences, the
+stacked rows against single points, and the tangents against
 finite-difference Jacobians.
 """
 
@@ -122,6 +125,13 @@ def _matvec(W, v):
     if W.ndim == 2:
         return v @ W.T
     return (W @ v[..., None])[..., 0]
+
+
+def _vecmat(v, W):
+    """v W over leading axes, the transposed product of :func:`_matvec`."""
+    if W.ndim == 2:
+        return v @ W
+    return (v[..., None, :] @ W)[..., 0, :]
 
 
 def _outer_block(coef, v):
@@ -296,40 +306,72 @@ class _Cell(DynamicalModel):
 
     # ---- batched backward pass ----
 
-    def _backward_start(self, dY, hs):
-        """Zero gradients and the per-step hidden-state gradients.
+    @property
+    def _stacked(self):
+        """P parameter rows: the pass runs (T, B, P, ...) arrays, B sequences
+        under each row, and the gradient is (P, N_theta)."""
+        return self.params.values.ndim == 2
 
-        dY: (T, B, N_y), hs: (T, B, H).  Returns the flat gradient as a
+    def _summed_outer(self, d, v):
+        """The sum over steps and sequences of d v^T, per row when stacked."""
+        return np.einsum("tbpk,tbpn->pkn" if self._stacked else "tbk,tbn->kn", d, v)
+
+    def _backward_start(self, dY, hs):
+        """Zero gradients, the recurrent accumulator, and the hidden-state gradients.
+
+        dY: (T, *rows, N_y), hs: (T, *rows, H).  Returns the gradient as a
         :class:`ParameterVector` whose block views the pass adds into (the
-        readout-weight gradients are in when the readout is linear), a zero
-        gradient of the recurrent matrix, and dH (T, B, H).
+        readout-weight gradients are in when the readout is linear), the
+        accumulator :meth:`_backward_step` fills, and dH (T, *rows, H).
         """
-        grad = ParameterVector(self.params.layout)
-        gW = np.zeros(self._recurrent_matrix().shape)
+        grad = ParameterVector(self.params.layout, np.zeros(self.params.values.shape))
+        KH = self._recurrent_matrix().shape[-2]
+        if self._stacked:
+            acc = np.empty((len(hs) - 1,) + hs.shape[1:-1] + (KH,))
+        else:
+            acc = np.zeros((KH, self.n_hidden))
         if self.readout == "identity":
-            return grad, gW, dY
+            return grad, acc, dY
         g_out = grad.get("W_out")
-        g_out += np.einsum("tby,tbh->yh", dY, hs)
+        g_out += self._summed_outer(dY, hs)
         g_bias = grad.get("b_out")
         g_bias += dY.sum(axis=(0, 1))
-        return grad, gW, dY @ self.params.get("W_out")
+        return grad, acc, _vecmat(dY, self.params.get("W_out"))
 
-    def _backward_step(self, grad, gW, dpre, h, z):
-        """Add one step's weight gradients for dpre = dL/d pre, (B, K*H); return dL/dh."""
-        gW += dpre.T @ h
-        if self.n_input > 0:
-            gU = grad.get_stacked(self._U)
-            gU += dpre.T @ z
-        if self.bias:
-            gb = grad.get_stacked(self._b)
-            gb += dpre.sum(axis=0)
-        return dpre @ self._recurrent_matrix()
+    def _backward_step(self, grad, acc, t, dpre, h, z):
+        """Take dpre = dL/d pre of step t, (*rows, K*H), into the weight gradients;
+        return dL/dh.  A shared theta adds them now, one GEMM per weight group;
+        a stacked cell keeps dpre in ``acc`` for :meth:`_backward_end`."""
+        if self._stacked:
+            acc[t] = dpre
+        else:
+            acc += dpre.T @ h
+            if self.n_input > 0:
+                gU = grad.get_stacked(self._U)
+                gU += dpre.T @ z
+            if self.bias:
+                gb = grad.get_stacked(self._b)
+                gb += dpre.sum(axis=0)
+        return _vecmat(dpre, self._recurrent_matrix())
 
-    def _backward_end(self, grad, gW):
-        """Add the recurrent-matrix gradient and return the flat gradient."""
+    def _backward_end(self, grad, acc, hs, Z):
+        """Add the recurrent-matrix gradient, and for a stacked cell the input and
+        bias gradients, each one sum over all steps; return the flat gradient."""
+        if self._stacked:
+            if self.n_input > 0:
+                Z = np.broadcast_to(Z[:-1], acc.shape[:-1] + Z.shape[-1:])
+                gU = grad.get_stacked(self._U)
+                gU += self._summed_outer(acc, Z)
+            if self.bias:
+                gb = grad.get_stacked(self._b)
+                gb += acc.sum(axis=(0, 1))
+            acc = self._summed_outer(acc, hs[:-1])
+        self._add_recurrent_gradient(grad, acc)
+        return grad.values
+
+    def _add_recurrent_gradient(self, grad, gW):
         g = grad.get_stacked(self._W)
         g += gW
-        return grad.values
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +398,12 @@ class VanillaRnnCell(_Cell):
     def backward_batch(self, cache, dY):
         """Gradient from the :class:`~rnnlab.statespace.Rollout` cache and dY (T, B, N_y)."""
         hs, Z = cache.states, cache.inputs
-        grad, gW, dH = self._backward_start(dY, hs)
+        grad, acc, dH = self._backward_start(dY, hs)
         dh = dH[-1].copy()
         for t in range(len(hs) - 2, -1, -1):
             dpre = dh * (1.0 - hs[t + 1] ** 2)
-            dh = self._backward_step(grad, gW, dpre, hs[t], Z[t]) + dH[t]
-        return self._backward_end(grad, gW)
+            dh = self._backward_step(grad, acc, t, dpre, hs[t], Z[t]) + dH[t]
+        return self._backward_end(grad, acc, hs, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +462,19 @@ class OrthogonalRnnCell(VanillaRnnCell):
     def _recurrent_param_jacobian(self, B, coef, h):
         B[:, self.params.layout.slice("S_raw")] = coef[0][:, None] * (self._tangents @ h).T
 
-    def _backward_end(self, grad, gW):
+    def _add_recurrent_gradient(self, grad, gW):
+        """dL/dS_raw from dL/dW, through the adjoint of the Frechet derivative of exp."""
         low = np.tril(self.skew_matrix(), -1)
-        S = low - low.T
-        gS = expm_frechet(S.T, gW, compute_expm=False)
-        gS = gS - gS.T
+        S = low - np.swapaxes(low, -1, -2)
+        if gW.ndim == 2:
+            gS = expm_frechet(S.T, gW, compute_expm=False)
+        else:  # per stacked row; a row that diverged keeps NaN
+            gS = np.full(gW.shape, np.nan)
+            for p in np.flatnonzero(np.isfinite(gW).all(axis=(1, 2))):
+                gS[p] = expm_frechet(S[p].T, gW[p], compute_expm=False)
+        gS = gS - np.swapaxes(gS, -1, -2)
         g = grad.get("S_raw")
-        g += gS[np.tril_indices(self.n_hidden, -1)]
-        return grad.values
+        g += gS[(..., *np.tril_indices(self.n_hidden, -1))]
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +588,11 @@ class LstmCell(_Cell):
         backward pass needs: rebuilding them from the states took that pass
         from 100 ms to 233 ms on a 100 x 400 sine batch at H = 32.
         """
-        T, B = Z.shape[0], Z.shape[1]
-        H = self.n_hidden
-        hs = np.empty((T, B, H))
-        cs = np.empty((T, B, H))
-        gates = np.empty((max(T - 1, 0), B, 4, H))
+        T, H = Z.shape[0], self.n_hidden
+        rows = np.shape(x0)[:-1]
+        hs = np.empty((T,) + rows + (H,))
+        cs = np.empty((T,) + rows + (H,))
+        gates = np.empty((max(T - 1, 0),) + rows + (4, H))
         h, c = self.split_state(x0)
         for t in range(T):
             hs[t] = h
@@ -559,19 +606,20 @@ class LstmCell(_Cell):
 
     def backward_batch(self, cache, dY):
         hs, cs, gates, Z = cache["hs"], cache["cs"], cache["gates"], cache["Z"]
-        T, B, H = hs.shape
-        grad, gW, dH = self._backward_start(dY, hs)
+        T, rows = len(hs), hs.shape[1:-1]
+        grad, acc, dH = self._backward_start(dY, hs)
         dh = dH[T - 1].copy()
-        dc = np.zeros((B, H))
+        dc = np.zeros(hs.shape[1:])
         for t in range(T - 2, -1, -1):
             i, f, a, o = _unstack(gates[t])
             slope = _slopes(gates[t])
             tc = np.tanh(cs[t + 1])
             dct = dc + dh * o * (1.0 - tc ** 2)
-            dpre = np.stack([dct * a, dct * cs[t], dct * i, dh * tc], axis=1) * slope
-            dh = self._backward_step(grad, gW, dpre.reshape(B, 4 * H), hs[t], Z[t]) + dH[t]
+            dpre = np.stack([dct * a, dct * cs[t], dct * i, dh * tc], axis=-2) * slope
+            dh = self._backward_step(grad, acc, t, dpre.reshape(rows + (-1,)),
+                                     hs[t], Z[t]) + dH[t]
             dc = dct * f
-        return self._backward_end(grad, gW)
+        return self._backward_end(grad, acc, hs, Z)
 
 
 class StableLstmCell(LstmCell):

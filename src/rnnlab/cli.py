@@ -31,7 +31,7 @@ from .analysis import (
     entropy_linear_gaussian,
     epoch_bifurcation,
 )
-from .cells import cell_from_dict, make_cell
+from .cells import cell_from_dict, cell_to_dict, make_cell
 from .errors import ConfigError, DivergentCost, NonFiniteState, RnnLabError, SingularMatrix
 from .sensitivity import LOSSES, Sequence
 from .smoothness import (
@@ -250,9 +250,9 @@ def _meta(resolved, seed):
 
 
 def _write_json(path, doc):
+    # one write of the whole document: json.dump would write it piece by piece
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _outdir(opts):
@@ -286,7 +286,8 @@ def _resolve_model(opts):
     """
     if opts.weights:
         model, x0 = _load_weights_model(opts.weights)
-        desc = {"weights": opts.weights}
+        # the cell, not where its file lies, identifies the run
+        desc = {"weights": _spec_hash(cell_to_dict(model))}
     elif opts.cell:
         readout = opts.readout or ("identity" if opts.inputs == 0 else "linear")
         model = make_cell(opts.cell, opts.hidden, n_input=opts.inputs,
@@ -589,7 +590,13 @@ def cmd_entropy(opts):
     A, seed, T = opts.A, opts.seed, opts.T
     if A is None:
         raise ConfigError("missing matrix specification: --A")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ConfigError(f"A: expected a square matrix, got shape {A.shape}")
     sigma0 = _given(opts.Sigma0, np.eye(A.shape[0]))
+    if sigma0.shape != A.shape:
+        raise ConfigError(f"Sigma0: expected shape {A.shape}, got {sigma0.shape}")
+    if np.any(np.linalg.eigvalsh(sigma0) <= 0):
+        raise ConfigError("Sigma0: expected a positive definite matrix")
     L_f = _given(opts.Lf, float(np.linalg.norm(A, 2)))
 
     resolved = {"command": "entropy", "A": A.tolist(), "Sigma0": sigma0.tolist(),
@@ -645,14 +652,20 @@ _COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The ``rnnlab`` parser of ``command`` alone when it names a command, else
+    of every command; its usage line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="rnnlab",
         description="recurrent cells as dynamical systems: simulate, analyze, train",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    alone = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
+    for cmd, (help_text, options) in _COMMANDS.items():
+        if alone and cmd != command:
+            continue
+        p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", help="JSON config document; its keys are option names")
         for name, parse, default, text in options:
             flag = "--" + name.replace("_", "-")
@@ -668,7 +681,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command comes first: no other command's parser need be built
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         opts = _resolve(_COMMANDS[args.command][1], args)
         # looked up now, so that a replaced cmd_* function is the one called

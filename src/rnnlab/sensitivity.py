@@ -8,9 +8,13 @@ step,
     dtheta += B[t]^T dx + F[t]^T dy[t],   dx <- A[t]^T dx + C[t]^T dy[t],
 
 at O(N * N_x^2) per sequence.  The landscape, the empirical Lipschitz
-estimates and training all take it.  Forward sensitivity propagation
-(D[t+1] = A[t] D[t] + B[t]) and central finite differences are kept in
-``tests/helpers.py`` as the oracles the route is checked against.
+estimates and training all take it.  Training runs a batch of sequences
+under one theta.  The landscape and the Lipschitz estimates run a model
+stacking all their points: one forward and one backward pass give every
+point's cost and gradient, and which points diverged.  Forward
+sensitivity propagation (D[t+1] = A[t] D[t] + B[t]) and central finite
+differences are kept in ``tests/helpers.py`` as the oracles the route is
+checked against.
 """
 
 from __future__ import annotations
@@ -176,36 +180,76 @@ def _stack_batch(dataset, model):
     return Z, Y, M, X0
 
 
+def _batches(dataset, model):
+    """Each group of equally shaped sequences, stacked by :func:`_stack_batch`,
+    with the places of its sequences in the dataset."""
+    groups = {}
+    for k, s in enumerate(dataset):
+        groups.setdefault((s.inputs.shape, s.targets.shape), []).append(k)
+    for ks in groups.values():
+        yield ks, _stack_batch([dataset[k] for k in ks], model)
+
+
+def _loss_weights(M, n_sequences):
+    """Per-step weights 1/(n_sequences * n_masked) that make the weighted loss sum the cost."""
+    n_masked = M.sum(axis=0).astype(float)          # per sequence
+    if np.any(n_masked == 0):
+        raise LengthMismatch("mask selects no steps")
+    return M / (n_sequences * n_masked[None, :])
+
+
 def cost_and_gradient_reverse(model, dataset, loss=SQUARED_ERROR):
     """The cost and its gradient, through the model's ``forward_batch`` and
     ``backward_batch`` once per group of equally shaped sequences.
 
     Each sequence keeps its weight in :func:`cost`.  Raises
     :class:`NonFiniteState` when an output or the gradient is NaN/Inf.
+
+    A model stacking P points (``with_params`` of a (P, N_theta) matrix)
+    runs all of them in the same two passes and returns their costs (P,),
+    gradients (P, N_theta) and a mask (P,) of the rows that diverged: a
+    NaN/Inf output, cost or gradient.  It raises for none of them; their
+    gradients are NaN.  Each cost is :func:`cost` of its point alone, summed
+    the same way; each gradient is that of its point alone up to rounding.
     """
     dataset = _as_dataset(dataset)
-    groups = {}
-    for s in dataset:
-        groups.setdefault((s.inputs.shape, s.targets.shape), []).append(s)
+    if model.params.values.ndim == 2:
+        return _stacked_cost_and_gradient(model, dataset, loss)
     value, grad = 0.0, np.zeros(model.n_params)
-    for batch in groups.values():
-        Z, Y, M, X0 = _stack_batch(batch, model)
+    for _, (Z, Y, M, X0) in _batches(dataset, model):
         outputs, cache = model.forward_batch(X0, Z)     # (T, B, N_y)
         if outputs.shape[-1] != Y.shape[-1]:
             raise LengthMismatch(f"{outputs.shape[-1]} outputs, {Y.shape[-1]} targets")
         if not np.all(np.isfinite(outputs)):
             bad = np.argwhere(~np.isfinite(outputs))
             raise NonFiniteState(int(bad[0][0]), "output")
-        n_masked = M.sum(axis=0).astype(float)          # per sequence
-        if np.any(n_masked == 0):
-            raise LengthMismatch("mask selects no steps")
-        # per-sequence weight 1/(n_sequences * n_masked) makes the sum the cost
-        w = M / (len(dataset) * n_masked[None, :])
+        w = _loss_weights(M, len(dataset))
         value += float(np.sum(w * loss.value(outputs, Y)))
         grad += model.backward_batch(cache, w[:, :, None] * loss.derivative(outputs, Y))
     if not np.all(np.isfinite(grad)):
         raise NonFiniteState(0, "gradient")
     return value, grad
+
+
+def _stacked_cost_and_gradient(model, dataset, loss):
+    """:func:`cost_and_gradient_reverse` of a stacked model, over (T, B, P, ...) arrays."""
+    P = model.params.values.shape[0]
+    costs = [None] * len(dataset)
+    grad = np.zeros((P, model.n_params))
+    diverged = np.zeros(P, dtype=bool)
+    with np.errstate(all="ignore"):  # a row that overflows must not stop the others
+        for ks, (Z, Y, M, X0) in _batches(dataset, model):
+            X0 = np.broadcast_to(X0[:, None], (len(ks), P, model.state_dim))
+            outputs, cache = model.forward_batch(X0, Z[:, :, None])
+            for b, k in enumerate(ks):
+                costs[k] = sequence_costs(outputs[:, b], dataset[k], loss)
+            diverged |= ~np.isfinite(outputs).all(axis=(0, 1, 3))
+            w = _loss_weights(M, len(dataset))[:, :, None, None]
+            grad += model.backward_batch(cache, w * loss.derivative(outputs, Y[:, :, None]))
+        values = mean_over_sequences(costs)
+    diverged |= ~np.isfinite(values) | ~np.isfinite(grad).all(axis=1)
+    grad[diverged] = np.nan
+    return values, grad, diverged
 
 
 def gradient(model, dataset, loss=SQUARED_ERROR):

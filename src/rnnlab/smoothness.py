@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .sensitivity import (
     _as_dataset,
     cost,
     cost_and_gradient_reverse,
-    gradient,
     mean_over_sequences,
     sequence_costs,
 )
@@ -100,7 +100,15 @@ class SmoothnessConstants:
         return regime_of(self.L_f)
 
     def S_table(self):
-        return np.array([bound_S(self.L_f, t) for t in range(self.N + 1)])
+        """S(t) of :func:`bound_S` for t = 0..N, a read-only array."""
+        return self._S
+
+    @cached_property
+    def _S(self):
+        # built once: the report and both bounds read it
+        S = np.array([bound_S(self.L_f, t) for t in range(self.N + 1)])
+        S.flags.writeable = False
+        return S
 
 
 def bound_L_V(c: SmoothnessConstants) -> float:
@@ -247,52 +255,44 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
     max badly underestimates the local spikes near chaotic regions).
     Deterministic for a given seed.  Pairs with a divergent evaluation (as
     defined by :func:`checked_cost`, or a non-finite gradient) are skipped
-    and counted in ``n_divergent``.  With ``with_gradient``, each point's
-    cost and gradient come from one :func:`cost_and_gradient_reverse`
-    pass.  ``model_family`` maps a flat theta to a model.
+    and counted in ``n_divergent``.  ``model_family`` is called once, with
+    the (2 n_pairs, N_theta) matrix of every pair's two points, and returns
+    the model stacking them; one pass over the stack gives every cost, and
+    with ``with_gradient`` one :func:`cost_and_gradient_reverse` pass gives
+    the costs and the gradients.
     """
     if n_pairs < 10:
         raise ValueError("n_pairs must be >= 10")
     lo = np.asarray(theta_low, dtype=float)
     hi = np.asarray(theta_high, dtype=float)
     rng = np.random.default_rng(rng_seed)
-
-    def eval_point(theta):
-        try:
-            m = model_family(theta)
-            if not with_gradient:
-                return checked_cost(m, dataset, loss), None
-            v, g = cost_and_gradient_reverse(m, dataset, loss)
-        except (DivergentCost, NonFiniteState, FloatingPointError):
-            return None
-        return None if divergent_costs(v) else (v, g)
-
-    best_v = 0.0
-    best_g = 0.0
-    used = 0
-    divergent = 0
+    n = int(n_pairs)
     scales = [None] + list(PAIR_SCALES)
-    for k in range(int(n_pairs)):
+    a, b = np.empty((2, n, lo.size))
+    for k in range(n):
         scale = scales[k % len(scales)]
-        a = rng.uniform(lo, hi)
+        a[k] = rng.uniform(lo, hi)
         if scale is None:
-            b = rng.uniform(lo, hi)
+            b[k] = rng.uniform(lo, hi)
         else:
-            b = a + scale * rng.standard_normal(lo.size)
-        dist = float(np.linalg.norm(a - b))
-        if dist == 0.0:
-            continue
-        ra = eval_point(a)
-        rb = eval_point(b)
-        if ra is None or rb is None:
-            divergent += 1
-            continue
-        used += 1
-        best_v = max(best_v, abs(ra[0] - rb[0]) / dist)
-        if with_gradient:
-            best_g = max(best_g, float(np.linalg.norm(ra[1] - rb[1])) / dist)
+            b[k] = a[k] + scale * rng.standard_normal(lo.size)
+
+    model = model_family(np.concatenate([a, b]))
+    if with_gradient:
+        v, g, divergent = cost_and_gradient_reverse(model, dataset, loss)
+    else:
+        v, divergent = _stacked_costs(model, 2 * n, dataset, loss)
+    divergent |= divergent_costs(v)
+    dist = np.linalg.norm(a - b, axis=1)
+    drawn = dist > 0.0
+    used = drawn & ~divergent[:n] & ~divergent[n:]
+    best_v = np.max(np.abs(v[:n] - v[n:])[used] / dist[used], initial=0.0)
+    best_g = 0.0
+    if with_gradient:
+        best_g = np.max(np.linalg.norm(g[:n] - g[n:], axis=1)[used] / dist[used], initial=0.0)
     return EmpiricalLipschitz(
-        L_V_hat=best_v, L_V_prime_hat=best_g, n_pairs_used=used, n_divergent=divergent
+        L_V_hat=float(best_v), L_V_prime_hat=float(best_g), n_pairs_used=int(used.sum()),
+        n_divergent=int((drawn & ~used).sum()),
     )
 
 
@@ -302,7 +302,12 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
 
 
 STACKED_FLOATS = 2 ** 22
-"""Floats a landscape pass may stack (32 MB): a theta and an output per step, per point."""
+"""Floats a landscape pass may stack (32 MB): a theta and an output per step, per point.
+
+With gradients a point also keeps its reverse pass per step: its states, its
+gates and their adjoints, counted as N_theta + 32 floats, which is more than
+any of the package's cells keeps.
+"""
 
 
 @dataclass
@@ -360,9 +365,10 @@ def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
     (P, N_theta) matrix of grid points and returns the model stacking
     them; the costs of all P come from one pass over the stack.  A grid
     larger than :data:`STACKED_FLOATS` allows is cut into blocks of rows,
-    one call each; every grid of the paper's figures is one block.  Gradients are computed point by
-    point, at the non-divergent points only, on ``with_params`` of the
-    point's theta.
+    one call each; every grid of the paper's figures is one block.  With
+    ``with_gradient``, one :func:`cost_and_gradient_reverse` pass over the
+    stack gives the costs and the gradients of a block; a point whose
+    gradient is not finite is divergent too.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("need 1 or 2 axes")
@@ -378,27 +384,26 @@ def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
     grids = [g.reshape(-1, 1) for g in np.meshgrid(*coords, indexing="ij")]
     dataset = _as_dataset(dataset)
     n_points = grids[0].shape[0]
-    block = max(1, STACKED_FLOATS // (dirs[0].size + sum(len(q) for q in dataset)))
+    per_step = 1 + (dirs[0].size + 32 if with_gradient else 0)
+    block = max(1, STACKED_FLOATS // (dirs[0].size + per_step * sum(len(q) for q in dataset)))
     values = np.empty(n_points)
     divergent = np.empty(n_points, dtype=bool)
-    gnorms = np.full(n_points, np.nan) if with_gradient else None
+    gnorms = np.empty(n_points) if with_gradient else None
     for start in range(0, n_points, block):
         rows = slice(start, start + block)
         thetas = grids[0][rows] * dirs[0]
         if len(axes) == 2:
             thetas = thetas + grids[1][rows] * dirs[1]
         model = model_family(thetas)
-        values[rows], divergent[rows] = _stacked_costs(model, len(thetas), dataset, loss)
-        if not with_gradient:
-            continue
-        for k in np.flatnonzero(~divergent[rows]):
-            try:
-                g = gradient(model.with_params(thetas[k]), dataset, loss)
-            except (NonFiniteState, FloatingPointError):
-                divergent[start + k] = True
-                continue
-            gnorms[start + k] = float(np.linalg.norm(g))
+        if with_gradient:
+            v, g, divergent[rows] = cost_and_gradient_reverse(model, dataset, loss)
+            values[rows], gnorms[rows] = v, np.linalg.norm(g, axis=1)
+            divergent[rows] |= divergent_costs(v)
+        else:
+            values[rows], divergent[rows] = _stacked_costs(model, len(thetas), dataset, loss)
     values[divergent] = np.nan
+    if with_gradient:
+        gnorms[divergent] = np.nan
 
     cells = [tuple(int(i) for i in c) for c in np.argwhere(divergent.reshape(shape))]
     return LandscapeGrid(

@@ -14,14 +14,16 @@ A V of the state Jacobian with a block of tangent vectors, from
 ``jacobians``; a cell overrides it to form A V from the step's own gates,
 without building A.  ``forward_batch`` is one :func:`rollout` over per-row
 inputs, with the :class:`Rollout` as its cache, and ``backward_batch``
-accumulates in reverse from ``jacobians``, one row at a time.
+accumulates in reverse from ``jacobians``, one row at a time; for a model
+stacking P points, one point at a time, on the point's ``with_params``
+model.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +87,20 @@ class DynamicalModel:
 
     def backward_batch(self, cache, dY):
         """Gradient over theta of sum(dY * outputs), dY (T, B, N_y), in reverse:
-        with dx = dL/dx[t+1], dtheta += B^T dx + F^T dy, then dx <- A^T dx + C^T dy."""
+        with dx = dL/dx[t+1], dtheta += B^T dx + F^T dy, then dx <- A^T dx + C^T dy.
+
+        A model stacking P points runs (T, B, P, ...) arrays and returns one
+        gradient per point, (P, N_theta): each from the point's own
+        ``with_params`` model, on its slice of the cache.
+        """
+        if self.params.values.ndim == 2:
+            inputs = np.broadcast_to(cache.inputs,
+                                     cache.states.shape[:-1] + (self.input_dim,))
+            return np.array([
+                self.with_params(theta).backward_batch(
+                    replace(cache, states=cache.states[:, :, p], inputs=inputs[:, :, p]),
+                    dY[:, :, p])
+                for p, theta in enumerate(self.params.values)])
         grad = np.zeros(self.n_params)
         for b in range(dY.shape[1]):
             dx = np.zeros(self.state_dim)

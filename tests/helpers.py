@@ -4,7 +4,9 @@ The library takes gradients by reverse accumulation only.  The oracles it
 is checked against live here: forward sensitivity propagation (RTRL) and
 central finite differences, of the Jacobians and of the cost.  So do the
 Lyapunov exponent from full state Jacobians, which the library forms as
-tangent products instead, and the element-by-element trajectory writers.
+tangent products instead, the empirical Lipschitz estimate one point at a
+time, which the library takes from one stacked pass, and the
+element-by-element trajectory and streamed JSON writers.
 """
 
 import json
@@ -12,9 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rnnlab.errors import NonFiniteState
+from rnnlab.errors import DivergentCost, NonFiniteState
 from rnnlab.params import ParameterLayout, ParameterVector
-from rnnlab.sensitivity import SQUARED_ERROR, _as_dataset, cost
+from rnnlab.sensitivity import SQUARED_ERROR, _as_dataset, cost, cost_and_gradient_reverse
+from rnnlab.smoothness import (
+    PAIR_SCALES,
+    EmpiricalLipschitz,
+    checked_cost,
+    divergent_costs,
+)
 from rnnlab.statespace import DynamicalModel, _as_input_array, simulate
 
 
@@ -419,3 +427,62 @@ def trajectory_json_streamed(traj, path, model_name="model", theta_hash=None, se
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def write_json_streamed(path, doc):
+    """A command's JSON artefact streamed through ``json.dump``."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# the empirical Lipschitz estimate, one point at a time
+# ---------------------------------------------------------------------------
+
+
+def empirical_lipschitz_V_per_point(model_family, dataset, loss=SQUARED_ERROR,
+                                    theta_low=None, theta_high=None, n_pairs=50,
+                                    rng_seed=0, with_gradient=True):
+    """``empirical_lipschitz_V`` drawing and evaluating its pairs one by one:
+    ``model_family`` of one flat theta, and :func:`checked_cost` or one
+    :func:`cost_and_gradient_reverse` per point."""
+    lo = np.asarray(theta_low, dtype=float)
+    hi = np.asarray(theta_high, dtype=float)
+    rng = np.random.default_rng(rng_seed)
+
+    def eval_point(theta):
+        try:
+            m = model_family(theta)
+            if not with_gradient:
+                return checked_cost(m, dataset, loss), None
+            v, g = cost_and_gradient_reverse(m, dataset, loss)
+        except (DivergentCost, NonFiniteState, FloatingPointError):
+            return None
+        return None if divergent_costs(v) else (v, g)
+
+    best_v = best_g = 0.0
+    used = divergent = 0
+    scales = [None] + list(PAIR_SCALES)
+    for k in range(int(n_pairs)):
+        scale = scales[k % len(scales)]
+        a = rng.uniform(lo, hi)
+        if scale is None:
+            b = rng.uniform(lo, hi)
+        else:
+            b = a + scale * rng.standard_normal(lo.size)
+        dist = float(np.linalg.norm(a - b))
+        if dist == 0.0:
+            continue
+        ra = eval_point(a)
+        rb = eval_point(b)
+        if ra is None or rb is None:
+            divergent += 1
+            continue
+        used += 1
+        best_v = max(best_v, abs(ra[0] - rb[0]) / dist)
+        if with_gradient:
+            best_g = max(best_g, float(np.linalg.norm(ra[1] - rb[1])) / dist)
+    return EmpiricalLipschitz(
+        L_V_hat=best_v, L_V_prime_hat=best_g, n_pairs_used=used, n_divergent=divergent
+    )

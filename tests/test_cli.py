@@ -9,11 +9,14 @@ import pytest
 from rnnlab import cli, smoothness
 from rnnlab.errors import DivergentCost
 
+from helpers import write_json_streamed
+
 REFERENCE = str(files("rnnlab").joinpath("data", "chaotic_lstm_2x2.json"))
 X0 = "0.5,0.5,0.5,0.5"
 DATA = Path(__file__).parent / "data"
 NOT_JSON = str(DATA / "not_json.json")
 NO_KIND = str(DATA / "no_kind.json")
+NOT_SQUARE = str(DATA / "not_square.json")
 
 
 def run(argv, out):
@@ -147,6 +150,8 @@ def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
     ["train", "--task", "symbols", "--length", "10"],
     ["train", "--cell", "slstm", "--target-norm", "1"],
     ["entropy", "--A", "diag:0.5", "--Lf", "0"],
+    ["entropy", "--A", NOT_SQUARE],
+    ["entropy", "--A", "diag:1,2", "--Sigma0", "diag:-1,1"],
 ])
 def test_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
     assert run(argv, tmp_path / "out") == cli.EXIT_CONFIG
@@ -236,3 +241,75 @@ def test_an_output_path_that_is_a_file_exits_io(tmp_path, capsys):
     blocker.write_text("")
     assert run(["smoothness"], blocker) == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_weights_at_two_paths_give_the_same_artefacts(tmp_path):
+    outputs = []
+    for where in ("a", "b/c"):
+        weights = tmp_path / where / "cell.json"
+        weights.parent.mkdir(parents=True)
+        shutil.copyfile(REFERENCE, weights)
+        out = tmp_path / "out" / str(len(outputs))
+        assert run(["simulate", "--weights", str(weights), "--steps", "20", "--x0", X0],
+                   out) == cli.EXIT_OK
+        outputs.append(tree(out))
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_json_artefacts_are_the_streamed_documents(tmp_path):
+    assert run(["smoothness", "--Lf", "1.1", "--N", "300"], tmp_path) == cli.EXIT_OK
+    written = (tmp_path / "smoothness.json").read_bytes()
+    write_json_streamed(tmp_path / "streamed.json", json.loads(written))
+    assert written == (tmp_path / "streamed.json").read_bytes()
+    doc = {"a": [1.0, 0.1, 1e-300, float("inf")], "b": {"c": None, "d": "x"}, "e": []}
+    cli._write_json(tmp_path / "one.json", doc)
+    write_json_streamed(tmp_path / "two.json", doc)
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+# every command's flags, as they were when all seven parsers were built on each call
+FLAGS = {
+    "simulate": "cell hidden input inputs out outputs readout scale seed steps weights x0",
+    "bifurcate": "burn-in cell feedback hidden input inputs out outputs points projection "
+                 "range readout record run-dir seed sweep weights x0",
+    "landscape": "along cell grad hidden input inputs loss out outputs range readout "
+                 "resolution seed steps weights x0",
+    "train": "batch-size cell clip-norm epochs hidden length lr lr-drops out seed "
+             "snapshot-every stop-at target-norm task",
+    "smoothness": "K1 K2 K3 K4 Lf Lfp Lg Lgp Ly M-scale N bounds out seed",
+    "entropy": "A Lf Sigma0 T out seed",
+    "lyapunov": "burn-in cell hidden horizon input inputs out outputs readout scale seed "
+                "weights x0",
+}
+
+
+def declared_flags(parser):
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return {name: {o[2:] for a in p._actions for o in a.option_strings
+                   if o not in ("-h", "--help", "--config")}
+            for name, p in sub.choices.items()}
+
+
+def test_a_command_builds_its_own_parser_only():
+    want = {name: set(flags.split()) for name, flags in FLAGS.items()}
+    assert declared_flags(cli.build_parser()) == want
+    for command in FLAGS:
+        assert declared_flags(cli.build_parser(command)) == {command: want[command]}
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in FLAGS)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["entropy", "--A", NOT_SQUARE], "A: expected a square matrix"),
+    (["entropy", "--A", "diag:1,2", "--Sigma0", NOT_SQUARE], "Sigma0: expected shape (2, 2)"),
+    (["entropy", "--A", "diag:1,2", "--Sigma0", "diag:1,0"], "Sigma0: expected a positive"),
+])
+def test_entropy_names_the_matrix_it_cannot_use(argv, name, tmp_path, capsys):
+    assert run(argv, tmp_path / "out") == cli.EXIT_CONFIG
+    assert f"config error: {name}" in capsys.readouterr().err

@@ -370,3 +370,87 @@ def test_gradient_fd_agreement_degrades_gracefully_when_expanding():
     g = gradient(model, [seq])
     g_fd = fd_gradient(model, [seq], step=1e-6)
     assert rel_err(g, g_fd) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the stacked route: P parameter points in one forward and one backward pass
+# ---------------------------------------------------------------------------
+
+
+def _task_sequences(model, task, rng, T=12):
+    """Three sequences: a regression on every step (squared error), or a label
+    scored at the last step only (cross-entropy)."""
+    n_y = model.output_dim
+    if task == "sine":
+        return [Sequence(rng.standard_normal((T, model.input_dim)),
+                         rng.standard_normal((T, n_y)),
+                         x0=0.3 * rng.standard_normal(model.state_dim))
+                for _ in range(3)], SQUARED_ERROR
+    seqs = []
+    for _ in range(3):
+        targets = np.zeros((T, n_y))
+        targets[-1] = rng.integers(0, 2, n_y)
+        mask = np.zeros(T, dtype=bool)
+        mask[-1] = True
+        seqs.append(Sequence(rng.standard_normal((T, model.input_dim)), targets, mask=mask))
+    return seqs, SIGMOID_CROSS_ENTROPY
+
+
+def _assert_rows_match_per_point(model, thetas, seqs, loss):
+    values, grads, diverged = cost_and_gradient_reverse(model.with_params(thetas), seqs, loss)
+    assert values.shape == (len(thetas),) and grads.shape == thetas.shape
+    assert not diverged.any()
+    for theta, v, g in zip(thetas, values, grads):
+        point = model.with_params(theta)
+        assert v == cost(point, seqs, loss)
+        assert rel_err(g, gradient(point, seqs, loss)) < 1e-13
+
+
+@pytest.mark.parametrize("task", ["sine", "symbols"])
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+def test_stacked_pass_matches_per_point_gradients(kind, task):
+    from rnnlab.cells import _cell_class
+
+    rng = np.random.default_rng(21)
+    for n_input in (0, 2):
+        for bias in (False, True):
+            for readout in ("identity", "linear"):
+                cell = _cell_class(kind)(3, n_input=n_input, bias=bias, readout=readout,
+                                         n_output=2, init_seed=4)
+                seqs, loss = _task_sequences(cell, task, rng)
+                thetas = cell.params.values + 0.5 * rng.standard_normal((4, cell.n_params))
+                _assert_rows_match_per_point(cell, thetas, seqs, loss)
+
+
+@pytest.mark.parametrize("model", [DrivenScalar(0.7, a=0.9), TanhMap(1.3)])
+def test_stacked_pass_of_a_default_model_matches_per_point_gradients(model):
+    seqs = _random_sequences(model, [12, 12, 9], seed=22)
+    thetas = model.params.values + np.linspace(-0.3, 0.3, 5)[:, None]
+    _assert_rows_match_per_point(model, thetas, seqs, SQUARED_ERROR)
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "ornn"])
+def test_stacked_pass_reports_a_divergent_row_and_keeps_the_others(kind):
+    cell = make_cell(kind, 3, n_input=2, bias=True, readout="linear", init_seed=6)
+    rng = np.random.default_rng(23)
+    seqs = [Sequence(rng.standard_normal((15, 2)), rng.standard_normal(15)) for _ in range(2)]
+    thetas = cell.params.values + 0.2 * rng.standard_normal((4, cell.n_params))
+    poisoned = thetas.copy()
+    poisoned[1, -1] = np.nan          # the readout bias of the second point
+    v0, g0, bad0 = cost_and_gradient_reverse(cell.with_params(thetas), seqs)
+    v1, g1, bad1 = cost_and_gradient_reverse(cell.with_params(poisoned), seqs)
+    assert not bad0.any() and list(bad1) == [False, True, False, False]
+    assert np.isnan(g1[1]).all()
+    keep = [0, 2, 3]
+    assert np.array_equal(v1[keep], v0[keep]) and np.array_equal(g1[keep], g0[keep])
+
+
+def test_stacked_pass_gives_no_gradient_for_a_divergent_cost():
+    # x_t = t g: at g = 1e157 the cost (~1e318) overflows while the gradient stays finite
+    model = DrivenScalar(1.0, a=1.0)
+    seqs = [Sequence(np.ones((50, 1)), np.zeros(50), x0=np.array([0.0]))]
+    values, grads, diverged = cost_and_gradient_reverse(
+        model.with_params(np.array([[0.5], [1e157]])), seqs)
+    assert list(diverged) == [False, True] and np.isinf(values[1])
+    assert np.isnan(grads[1]).all()
+    assert grads[0] == gradient(DrivenScalar(0.5, a=1.0), seqs)

@@ -18,7 +18,7 @@ from rnnlab.smoothness import (
     regime_of,
 )
 
-from helpers import DrivenScalar
+from helpers import DrivenScalar, empirical_lipschitz_V_per_point, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,20 @@ def test_bound_L_V_prime_equals_the_double_sum(L_f):
         assert abs(bound_L_V_prime(c) - want) <= 1e-12 * want
 
 
+def test_bound_report_builds_the_S_table_once(monkeypatch):
+    calls = []
+    bound = smoothness.bound_S
+
+    def counted(L_f, t):
+        calls.append(t)
+        return bound(L_f, t)
+
+    monkeypatch.setattr(smoothness, "bound_S", counted)
+    rep = bound_report(SmoothnessConstants(L_f=1.1, N=60))
+    assert calls == list(range(61))
+    assert rep["S_table"] == [bound(1.1, t) for t in range(61)]
+
+
 def test_bound_report_fields():
     rep = bound_report(SmoothnessConstants(L_f=1.0, N=100))
     assert rep["regime"] == "marginal"
@@ -182,7 +196,7 @@ def test_empirical_quadratic_gradient_lipschitz():
     assert est.n_divergent == 0
 
 
-def test_empirical_gradient_takes_one_forward_pass_per_point(monkeypatch):
+def test_empirical_gradient_takes_one_forward_pass_for_all_points(monkeypatch):
     from rnnlab import sensitivity
     from rnnlab.cells import LstmCell, make_cell
 
@@ -206,7 +220,51 @@ def test_empirical_gradient_takes_one_forward_pass_per_point(monkeypatch):
     est = empirical_lipschitz_V(cell.with_params, ds, theta_low=theta - 0.1,
                                 theta_high=theta + 0.1, n_pairs=10, rng_seed=0)
     assert est.n_pairs_used == 10
-    assert calls == {"forward_batch": 20, "simulate": 0}
+    assert calls == {"forward_batch": 1, "simulate": 0}
+
+
+def _sine_lstm_case(seed):
+    """An LSTM with input, biases and a linear readout on two sine sequences."""
+    from rnnlab.cells import make_cell
+
+    cell = make_cell("lstm", 6, n_input=1, bias=True, readout="linear", n_output=1,
+                     init_seed=seed)
+    rng = np.random.default_rng(seed)
+    t = np.arange(1, 31)
+    ds = [Sequence(np.full((30, 1), w / np.pi), np.sin(w * t))
+          for w in rng.uniform(np.pi / 16, np.pi / 8, size=2)]
+    theta = cell.params.values
+    return cell.with_params, ds, dict(theta_low=theta - 0.5, theta_high=theta + 0.5,
+                                      n_pairs=10, rng_seed=seed)
+
+
+def _driven_case(a, n, with_gradient):
+    ds = [Sequence(np.ones((n, 1)), np.zeros(n), x0=np.array([0.0]))]
+    return (lambda th: DrivenScalar(th, a=a)), ds, dict(
+        theta_low=[0.5], theta_high=[1.5], n_pairs=24, rng_seed=3,
+        with_gradient=with_gradient)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _sine_lstm_case(1),
+    lambda: _sine_lstm_case(2),
+    lambda: _driven_case(0.9, 50, True),
+    lambda: _driven_case(1.5, 400, True),
+    lambda: _driven_case(1.5, 400, False),
+    lambda: _driven_case(1.3, 446, True),
+    lambda: _driven_case(1.3, 446, False),
+], ids=["lstm-1", "lstm-2", "contractive", "divergent", "divergent-cost-only",
+        "some-divergent", "some-divergent-cost-only"])
+def test_empirical_stacked_pass_matches_the_per_point_loop(case):
+    family, ds, kwargs = case()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = empirical_lipschitz_V(family, ds, **kwargs)
+        want = empirical_lipschitz_V_per_point(family, ds, **kwargs)
+    assert (got.n_pairs_used, got.n_divergent) == (want.n_pairs_used, want.n_divergent)
+    assert got.n_pairs_used + got.n_divergent == kwargs["n_pairs"]
+    for name in ("L_V_hat", "L_V_prime_hat"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert abs(g - w) <= 1e-10 * abs(w), name
 
 
 def test_empirical_contractive_plateau_in_horizon():
@@ -377,6 +435,90 @@ def test_large_grid_is_cut_into_blocks_with_the_same_result(monkeypatch):
     blocks = landscape_sweep(family, ds, SQUARED_ERROR, **kwargs)
     assert calls[1:] == [20, 20, 20, 3]
     assert np.array_equal(whole.values, blocks.values)
+
+
+def _reference_ray(steps=200):
+    from rnnlab.cells import chaotic_reference_cell
+    from rnnlab.statespace import simulate
+
+    cell = chaotic_reference_cell()
+    x0 = np.array([0.5, 0.5, 0.5, 0.5])
+    inputs = np.zeros((steps, 0))
+    ds = [Sequence(inputs=inputs, targets=simulate(cell, x0, inputs).outputs, x0=x0)]
+    return cell, ds
+
+
+def test_landscape_gradients_take_one_pass_per_block(monkeypatch):
+    from rnnlab import sensitivity
+    from rnnlab.cells import LstmCell
+
+    cell, ds = _reference_ray(40)
+    calls = {"family": 0, "forward_batch": 0, "gradient": 0}
+    forward_batch, gradient_ = LstmCell.forward_batch, sensitivity.gradient
+
+    def family(thetas):
+        calls["family"] += 1
+        return cell.with_params(thetas)
+
+    def counted_forward(self, x0, Z):
+        calls["forward_batch"] += 1
+        return forward_batch(self, x0, Z)
+
+    def counted_gradient(*args):
+        calls["gradient"] += 1
+        return gradient_(*args)
+
+    monkeypatch.setattr(LstmCell, "forward_batch", counted_forward)
+    monkeypatch.setattr(sensitivity, "gradient", counted_gradient)
+    kwargs = dict(axes=[("true", cell.params.values)], ranges=[(0.0, 1.6)],
+                  resolution=21, with_gradient=True)
+    whole = landscape_sweep(family, ds, SQUARED_ERROR, **kwargs)
+    assert calls == {"family": 1, "forward_batch": 1, "gradient": 0}
+    # 16 + 40 * (1 + 16 + 32) floats per point: 8 points per block
+    monkeypatch.setattr(smoothness, "STACKED_FLOATS", 8 * (16 + 40 * 49))
+    blocks = landscape_sweep(family, ds, SQUARED_ERROR, **kwargs)
+    assert calls == {"family": 4, "forward_batch": 4, "gradient": 0}
+    assert rel_err(blocks.gradient_norms, whole.gradient_norms) < 1e-13
+    assert np.array_equal(blocks.values, whole.values)
+
+
+def test_landscape_gradients_match_per_point_gradients_on_reference_ray():
+    cell, ds = _reference_ray()
+    theta = cell.params.values
+    grid = landscape_sweep(cell.with_params, ds, SQUARED_ERROR, axes=[("true", theta)],
+                           ranges=[(0.0, 1.6)], resolution=17, with_gradient=True)
+    values, norms, divergent = _single_points(
+        cell.with_params, ds, grid.coords[0][:, None] * theta, with_gradient=True)
+    assert not divergent.any() and grid.divergent == []
+    assert np.array_equal(grid.values, values)
+    assert np.all(np.abs(grid.gradient_norms - norms) <= 1e-13 * np.maximum(norms, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "lstm"])
+def test_a_divergent_row_leaves_the_other_rows_of_its_block_unchanged(kind):
+    from rnnlab.cells import make_cell
+
+    cell = make_cell(kind, 3, n_input=1, bias=True, readout="linear", init_seed=2)
+    rng = np.random.default_rng(5)
+    ds = [Sequence(rng.standard_normal((25, 1)), rng.standard_normal(25)) for _ in range(2)]
+
+    def family(poison):
+        def build(thetas):
+            if poison:
+                thetas = thetas.copy()
+                thetas[3, 0] = np.inf       # W[0, 0] of the fourth point
+            return cell.with_params(thetas)
+        return build
+
+    kwargs = dict(axes=[("true", cell.params.values)], ranges=[(0.5, 1.5)],
+                  resolution=7, with_gradient=True)
+    clean = landscape_sweep(family(False), ds, SQUARED_ERROR, **kwargs)
+    bad = landscape_sweep(family(True), ds, SQUARED_ERROR, **kwargs)
+    assert clean.divergent == [] and bad.divergent == [3]
+    assert np.isnan(bad.values[3]) and np.isnan(bad.gradient_norms[3])
+    keep = np.arange(7) != 3
+    assert np.array_equal(bad.values[keep], clean.values[keep])
+    assert np.array_equal(bad.gradient_norms[keep], clean.gradient_norms[keep])
 
 
 def test_grid_csv_export(tmp_path):
