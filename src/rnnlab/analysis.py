@@ -195,27 +195,12 @@ def epoch_bifurcation(snapshots, base_model, u_const, x0, burn_in=1200,
 # attractor classification
 # ---------------------------------------------------------------------------
 
-LYAPUNOV_TOL = 1e-3
-
-
 @dataclass
 class AttractorClass:
     kind: str                 # "fixed_point" | "periodic" | "quasiperiodic_or_chaotic"
     period: int | None = None
     n_distinct: int = 0
     lyapunov: float | None = None
-
-    @property
-    def is_fixed_point(self):
-        return self.kind == "fixed_point"
-
-    @property
-    def is_chaotic(self):
-        return (
-            self.kind == "quasiperiodic_or_chaotic"
-            and self.lyapunov is not None
-            and self.lyapunov > LYAPUNOV_TOL
-        )
 
 
 def classify_attractor(samples, tol=1e-6, lyapunov=None) -> AttractorClass:
@@ -225,8 +210,9 @@ def classify_attractor(samples, tol=1e-6, lyapunov=None) -> AttractorClass:
     value, so a value is never split by where it falls on a grid.  One
     distinct value -> fixed point; k distinct values recurring with
     exact period k (k at most half the sample count) -> periodic(k);
-    anything else -> quasiperiodic_or_chaotic, with a positive supplied
-    Lyapunov exponent marking it chaotic.
+    anything else -> quasiperiodic_or_chaotic.  A supplied Lyapunov
+    exponent is kept with the class: a positive one tells chaos from
+    quasi-periodic motion.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 8:
@@ -328,15 +314,3 @@ def check_entropy_bound(trace: EntropyTrace, L_f, atol=1e-9) -> EntropyBoundRepo
         upper_ok=inc <= rate + atol,
         lower_ok=inc >= rate - atol,
     )
-
-
-def hadamard_chain(A):
-    """(log|det A|, sum_i log||col_i||, n log sigma_max) for one matrix."""
-    A = np.asarray(A, dtype=float)
-    sign, logdet = np.linalg.slogdet(A)
-    if sign == 0:
-        logdet = -np.inf
-    col_norms = np.linalg.norm(A, axis=0)
-    sum_log_cols = float(np.sum(np.log(col_norms)))
-    n_log_sigma = A.shape[0] * float(np.log(np.linalg.norm(A, 2)))
-    return float(logdet), sum_log_cols, n_log_sigma

@@ -11,12 +11,12 @@ contract:
   exponential of a skew-symmetric matrix, hence exactly orthogonal
 
 One base, ``_Cell``, owns the constructor, the readout, ``with_params``,
-the file format and what the kinds share of the Jacobians and of the
-backward pass.  A kind names its per-gate blocks once (``_W``, ``_U``,
-``_b``).  The LSTM's four gate blocks of each group, ``W_hi..W_ho`` say,
-lie back to back in theta as before, so it reads each group as one fused
-(4H, ...) matrix (``ParameterVector.get_stacked``) and computes all four
-gates in one product, with no change of layout.
+the file format, what the kinds share of the Jacobians, and the batched
+forward and backward passes.  A kind names its per-gate blocks once
+(``_W``, ``_U``, ``_b``).  The LSTM's four gate blocks of each group,
+``W_hi..W_ho`` say, lie back to back in theta as before, so it reads each
+group as one fused (4H, ...) matrix (``ParameterVector.get_stacked``) and
+computes all four gates in one product, with no change of layout.
 
 ``step`` and ``output`` broadcast over a leading axis of P stacked points:
 the state may be (P, N_x) and the parameters (P, N_theta), as built by
@@ -24,15 +24,19 @@ the state may be (P, N_x) and the parameters (P, N_theta), as built by
 ``step_tangent``, the step with the product A V for tangents V (..., N_x, k):
 each kind forms A V from the gates of its step, never building A, and this
 is the one place a kind derives A (``jacobians`` takes it as A I).
-``jacobians`` is single-point.  Cells override the batched backward pass of
-the gradient route with hand-derived code; only the LSTM keeps a forward
-pass of its own, to cache its gates.  The pass runs a batch of sequences
-under one shared theta, adding the weight gradients with one GEMM per
-weight group at every step, or under each row of a stacked cell, summing
-them per row once after the loop.  The test suite checks the backward
-passes against forward sensitivity propagation and finite differences, the
-stacked rows against single points, and the tangents against
-finite-difference Jacobians.
+``jacobians`` is single-point.
+
+The gradient route runs through one forward and one reverse loop, both
+in ``_Cell``.  A kind gives ``_advance``, the next state and what the
+adjoint of its step needs (the LSTM's gates, nothing for the vanilla
+cell), and ``_step_adjoint``, the transpose of its tangent step: from
+dL/dh' it gives dL/d pre of the gates and what the state carries back
+besides h (the LSTM's dL/dc).  The reverse loop adds the weight gradients
+at every step, summed over the sequences: one GEMM per weight group under
+a shared theta, one product per row under a stacked one.  The test suite
+checks the passes against forward sensitivity propagation and finite
+differences, the stacked rows against single points, and the tangents
+against finite-difference Jacobians.
 """
 
 from __future__ import annotations
@@ -56,33 +60,9 @@ CELL_FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def spectral_norm(M, method="exact", iters=50, tol=1e-10, seed=0):
-    """Largest singular value, exact (SVD) or by power iteration."""
-    M = np.asarray(M, dtype=float)
-    if method == "exact":
-        return float(np.linalg.norm(M, 2))
-    if method != "power":
-        raise ValueError("method must be 'exact' or 'power'")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        u = M @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        u /= nu
-        v = M.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        if abs(nv - sigma) < tol * max(1.0, nv):
-            sigma = nv
-            break
-        sigma = nv
-    return float(sigma)
+def spectral_norm(M):
+    """Largest singular value (SVD)."""
+    return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
 
 
 def orthogonal_init(rng, n, gain=1.0):
@@ -134,6 +114,18 @@ def _vecmat(v, W):
     return (v[..., None, :] @ W)[..., 0, :]
 
 
+def _sequence_sum(d, v):
+    """sum_b d[b]^T v[b] over the leading axis of B sequences, as one product.
+
+    Under a shared theta d is (B, k) and v (B, n), and this is ``d.T @ v``,
+    one GEMM.  Under P stacked rows they are (B, P, k) and (B, P, n), or
+    (B, 1, n) for a v all rows share, and the product runs row by row,
+    giving (P, k, n).
+    """
+    rows = tuple(range(1, d.ndim - 1))  # transpose, not moveaxis: this runs every step
+    return d.transpose(rows + (d.ndim - 1, 0)) @ v.transpose(rows + (0, v.ndim - 1))
+
+
 def _outer_block(coef, v):
     """Jacobian of out[a] = coef[k, a] * (W_k v)[a] in K stacked blocks W_k.
 
@@ -172,9 +164,15 @@ class _Cell(DynamicalModel):
     readout y = W_out h + b_out adds its blocks after them and draws W_out
     last; the identity readout y = h has none.  ``_CONFIG`` names the
     constructor arguments that, with theta, describe a cell: ``with_params``
-    and the cell file format are built from it.  Besides ``step``, a kind
-    gives ``step_tangent``, from which ``jacobians`` takes A, and
-    ``_pre_coefficients``, d x'/d pre of its gates, from which it builds B.
+    and the cell file format are built from it.  The maps read W, U and b
+    through properties cached per instance (a cell is immutable).
+
+    A kind gives ``_advance(x, z) -> (x', gates)``, from which ``step``,
+    ``forward_batch`` and its ``step_tangent`` take the step;
+    ``_step_adjoint(gates, x, x', dh', carry') -> (dpre, carry)``, from
+    which ``backward_batch`` takes the reverse of the step; and
+    ``_pre_coefficients``, d x'/d pre of its gates, from which ``jacobians``
+    builds B (A comes from ``step_tangent``).
     """
 
     _CONFIG = ("n_hidden", "n_input", "bias", "readout", "n_output")
@@ -251,20 +249,33 @@ class _Cell(DynamicalModel):
 
     # ---- maps ----
 
-    def _recurrent_matrix(self):
+    @cached_property
+    def _W_mat(self):
+        """The K recurrent blocks as one (..., K*H, H) matrix, a view of theta."""
         return self.params.get_stacked(self._W)
+
+    @cached_property
+    def _U_mat(self):
+        return self.params.get_stacked(self._U)
+
+    @cached_property
+    def _b_vec(self):
+        return self.params.get_stacked(self._b)
 
     def _pre(self, h, z):
         """Pre-activations of the K gates, (..., K*H)."""
-        pre = _matvec(self._recurrent_matrix(), h)
+        pre = _matvec(self._W_mat, h)
         if self.n_input > 0:
-            pre = pre + _matvec(self.params.get_stacked(self._U), z)
+            pre = pre + _matvec(self._U_mat, z)
         if self.bias:
-            pre += self.params.get_stacked(self._b)
+            pre += self._b_vec
         return pre
 
     def _hidden_of(self, x):
         return x[..., : self.n_hidden]
+
+    def step(self, x, z):
+        return self._advance(np.asarray(x, dtype=float), np.asarray(z, dtype=float))[0]
 
     def output(self, x, z):
         h = self._hidden_of(np.asarray(x, dtype=float))
@@ -304,69 +315,53 @@ class _Cell(DynamicalModel):
     def _recurrent_param_jacobian(self, B, coef, h):
         B[:, self.params.layout.stacked(self._W).span] = _outer_block(coef, h)
 
-    # ---- batched backward pass ----
+    # ---- batched forward and backward passes ----
 
-    @property
-    def _stacked(self):
-        """P parameter rows: the pass runs (T, B, P, ...) arrays, B sequences
-        under each row, and the gradient is (P, N_theta)."""
-        return self.params.values.ndim == 2
-
-    def _summed_outer(self, d, v):
-        """The sum over steps and sequences of d v^T, per row when stacked."""
-        return np.einsum("tbpk,tbpn->pkn" if self._stacked else "tbk,tbn->kn", d, v)
-
-    def _backward_start(self, dY, hs):
-        """Zero gradients, the recurrent accumulator, and the hidden-state gradients.
-
-        dY: (T, *rows, N_y), hs: (T, *rows, H).  Returns the gradient as a
-        :class:`ParameterVector` whose block views the pass adds into (the
-        readout-weight gradients are in when the readout is linear), the
-        accumulator :meth:`_backward_step` fills, and dH (T, *rows, H).
+    def forward_batch(self, x0, Z):
+        """Outputs (T, *rows, N_y) from x0 (*rows, N_x) under inputs Z
+        (T, *rows, N_z), and the cache :meth:`backward_batch` reads: the
+        states (T, *rows, N_x), what ``_advance`` kept of each step, and Z.
         """
+        xs = np.empty((len(Z),) + np.shape(x0))
+        xs[0] = x0
+        kept = []
+        for t in range(len(Z) - 1):
+            xs[t + 1], gates = self._advance(xs[t], Z[t])
+            kept.append(gates)
+        return self.output(xs, None), (xs, kept, Z)
+
+    def backward_batch(self, cache, dY):
+        """Gradient over theta of sum(dY * outputs), dY (T, *rows, N_y).
+
+        One reverse loop: at each step ``_step_adjoint`` turns dh = dL/dh'
+        into dpre = dL/d pre, which adds dpre^T h, dpre^T z and dpre, summed
+        over the sequences, to the weight gradients, and dh <- dpre W.  Under
+        a stacked theta the products run per row and the gradient is
+        (P, N_theta).
+        """
+        xs, kept, Z = cache
+        hs = self._hidden_of(xs)
         grad = ParameterVector(self.params.layout, np.zeros(self.params.values.shape))
-        KH = self._recurrent_matrix().shape[-2]
-        if self._stacked:
-            acc = np.empty((len(hs) - 1,) + hs.shape[1:-1] + (KH,))
-        else:
-            acc = np.zeros((KH, self.n_hidden))
-        if self.readout == "identity":
-            return grad, acc, dY
-        g_out = grad.get("W_out")
-        g_out += self._summed_outer(dY, hs)
-        g_bias = grad.get("b_out")
-        g_bias += dY.sum(axis=(0, 1))
-        return grad, acc, _vecmat(dY, self.params.get("W_out"))
-
-    def _backward_step(self, grad, acc, t, dpre, h, z):
-        """Take dpre = dL/d pre of step t, (*rows, K*H), into the weight gradients;
-        return dL/dh.  A shared theta adds them now, one GEMM per weight group;
-        a stacked cell keeps dpre in ``acc`` for :meth:`_backward_end`."""
-        if self._stacked:
-            acc[t] = dpre
-        else:
-            acc += dpre.T @ h
-            if self.n_input > 0:
-                gU = grad.get_stacked(self._U)
-                gU += dpre.T @ z
-            if self.bias:
-                gb = grad.get_stacked(self._b)
+        dH = dY  # dL/dh of each step through its own output
+        if self.readout == "linear":
+            g_out = grad.get("W_out")
+            g_out += np.einsum("tb...k,tb...n->...kn", dY, hs)  # all steps at once
+            g_bias = grad.get("b_out")
+            g_bias += dY.sum(axis=(0, 1))
+            dH = _vecmat(dY, self.params.get("W_out"))
+        gW = np.zeros(self._W_mat.shape)
+        gU = grad.get_stacked(self._U) if self.n_input > 0 else None
+        gb = grad.get_stacked(self._b) if self.bias else None
+        dh, carry = dH[-1], 0.0
+        for t in range(len(xs) - 2, -1, -1):
+            dpre, carry = self._step_adjoint(kept[t], xs[t], xs[t + 1], dh, carry)
+            gW += _sequence_sum(dpre, hs[t])
+            if gU is not None:
+                gU += _sequence_sum(dpre, Z[t])
+            if gb is not None:
                 gb += dpre.sum(axis=0)
-        return _vecmat(dpre, self._recurrent_matrix())
-
-    def _backward_end(self, grad, acc, hs, Z):
-        """Add the recurrent-matrix gradient, and for a stacked cell the input and
-        bias gradients, each one sum over all steps; return the flat gradient."""
-        if self._stacked:
-            if self.n_input > 0:
-                Z = np.broadcast_to(Z[:-1], acc.shape[:-1] + Z.shape[-1:])
-                gU = grad.get_stacked(self._U)
-                gU += self._summed_outer(acc, Z)
-            if self.bias:
-                gb = grad.get_stacked(self._b)
-                gb += acc.sum(axis=(0, 1))
-            acc = self._summed_outer(acc, hs[:-1])
-        self._add_recurrent_gradient(grad, acc)
+            dh = _vecmat(dpre, self._W_mat) + dH[t]
+        self._add_recurrent_gradient(grad, gW)
         return grad.values
 
     def _add_recurrent_gradient(self, grad, gW):
@@ -382,28 +377,21 @@ class _Cell(DynamicalModel):
 class VanillaRnnCell(_Cell):
     name = "vanilla"
 
-    def step(self, x, z):
-        return np.tanh(self._pre(np.asarray(x, dtype=float), np.asarray(z, dtype=float)))
+    def _advance(self, x, z):
+        """The next state h' = tanh(pre); the adjoint needs nothing besides h'."""
+        return np.tanh(self._pre(x, z)), None
+
+    def _step_adjoint(self, gates, x, x_new, dh, carry):
+        """dpre = dh (1 - h'^2); the vanilla state carries nothing else."""
+        return dh * (1.0 - x_new ** 2), carry
 
     def step_tangent(self, x, z, V):
         """The step and A V = d * (W V), with d = 1 - tanh(pre)^2 = 1 - h'^2."""
         h_new = self.step(x, z)
-        return h_new, (1.0 - h_new ** 2)[..., None] * (self._recurrent_matrix() @ V)
+        return h_new, (1.0 - h_new ** 2)[..., None] * (self._W_mat @ V)
 
     def _pre_coefficients(self, x, z):
         return (1.0 - self.step(x, z) ** 2)[None]
-
-    # ---- batched backward pass (the forward pass is the default rollout) ----
-
-    def backward_batch(self, cache, dY):
-        """Gradient from the :class:`~rnnlab.statespace.Rollout` cache and dY (T, B, N_y)."""
-        hs, Z = cache.states, cache.inputs
-        grad, acc, dH = self._backward_start(dY, hs)
-        dh = dH[-1].copy()
-        for t in range(len(hs) - 2, -1, -1):
-            dpre = dh * (1.0 - hs[t + 1] ** 2)
-            dh = self._backward_step(grad, acc, t, dpre, hs[t], Z[t]) + dH[t]
-        return self._backward_end(grad, acc, hs, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +429,9 @@ class OrthogonalRnnCell(VanillaRnnCell):
         return S
 
     @cached_property
-    def _orthogonal(self):
+    def _W_mat(self):
+        """The realized orthogonal W, (..., H, H)."""
         return realize_orthogonal(self.skew_matrix())
-
-    def _recurrent_matrix(self):
-        return self._orthogonal
 
     @cached_property
     def _tangents(self):
@@ -532,14 +518,28 @@ class LstmCell(_Cell):
         gates[..., 2, :] = g
         return gates
 
-    def step(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
+    def _advance(self, x, z):
+        """The next state [h', c'] and the (..., 4, H) gates its adjoint needs."""
         h, c = self.split_state(x)
-        i, f, a, o = _unstack(self._gates(h, z))
+        gates = self._gates(h, z)
+        i, f, a, o = _unstack(gates)
         c_new = f * c + i * a
-        h_new = o * np.tanh(c_new)
-        return np.concatenate([h_new, c_new], axis=-1)
+        return np.concatenate([o * np.tanh(c_new), c_new], axis=-1), gates
+
+    def _step_adjoint(self, gates, x, x_new, dh, dc):
+        """dL/d pre of the four gates, and dL/dc, from dh = dL/dh' and the
+        carried dc = dL/dc' of the later steps:
+
+            dc~ = dc + dh o (1 - tanh(c')^2)
+            dpre = (dc~ a, dc~ c, dc~ i, dh tanh(c')) * gate slopes
+            dL/dc = dc~ f
+        """
+        i, f, a, o = _unstack(gates)
+        c = self.split_state(x)[1]
+        tc = np.tanh(self.split_state(x_new)[1])
+        dct = dc + dh * o * (1.0 - tc ** 2)
+        dpre = np.stack([dct * a, dct * c, dct * i, dh * tc], axis=-2) * _slopes(gates)
+        return dpre.reshape(dpre.shape[:-2] + (-1,)), dct * f
 
     def step_tangent(self, x, z, V):
         """The step and A V for V = [dh; dc], (..., 2H, k).  W dh gives the
@@ -552,74 +552,31 @@ class LstmCell(_Cell):
         x = np.asarray(x, dtype=float)
         V = np.asarray(V, dtype=float)
         H = self.n_hidden
-        h, c = self.split_state(x)
-        gates = self._gates(h, np.asarray(z, dtype=float))
+        x_new, gates = self._advance(x, np.asarray(z, dtype=float))
         i, f, a, o = _unstack(gates)
-        c_new = f * c + i * a
-        tc = np.tanh(c_new)
-        x_new = np.concatenate([o * tc, c_new], axis=-1)
+        tc = np.tanh(x_new[..., H:])
 
-        dpre = self._recurrent_matrix() @ V[..., :H, :]
+        dpre = self._W_mat @ V[..., :H, :]
         dgates = dpre.reshape(dpre.shape[:-2] + (4, H, dpre.shape[-1]))
         dgates *= _slopes(gates)[..., None]
         di, df, da, do = (dgates[..., k, :, :] for k in range(4))
         # the gates and c as columns, against the k tangent columns
-        i, f, a, o, c, tc = (v[..., None] for v in (i, f, a, o, c, tc))
+        i, f, a, o, c, tc = (v[..., None] for v in (i, f, a, o, x[..., H:], tc))
         dc = df * c + f * V[..., H:, :] + di * a + i * da
         dh = do * tc + o * (1.0 - tc ** 2) * dc
         return x_new, np.concatenate([dh, dc], axis=-2)
 
     def _pre_coefficients(self, x, z):
         """d h'/d pre_k and d c'/d pre_k, stacked as (2, 4, H): rows of h', then c'."""
-        h, c = self.split_state(x)
-        gates = self._gates(h, z)
+        x_new, gates = self._advance(x, z)
         i, f, a, o = gates
-        tc = np.tanh(f * c + i * a)
+        c = self.split_state(x)[1]
+        tc = np.tanh(self.split_state(x_new)[1])
         slope = _slopes(gates)
         c_coef = np.stack([a, c, i, np.zeros(self.n_hidden)]) * slope
         h_coef = o * (1.0 - tc ** 2) * c_coef
         h_coef[3] = tc * slope[3]
         return np.stack([h_coef, c_coef])
-
-    # ---- batched forward and backward passes ----
-
-    def forward_batch(self, x0, Z):
-        """The default rollout's outputs, with a cache that keeps the gates the
-        backward pass needs: rebuilding them from the states took that pass
-        from 100 ms to 233 ms on a 100 x 400 sine batch at H = 32.
-        """
-        T, H = Z.shape[0], self.n_hidden
-        rows = np.shape(x0)[:-1]
-        hs = np.empty((T,) + rows + (H,))
-        cs = np.empty((T,) + rows + (H,))
-        gates = np.empty((max(T - 1, 0),) + rows + (4, H))
-        h, c = self.split_state(x0)
-        for t in range(T):
-            hs[t] = h
-            cs[t] = c
-            if t + 1 < T:
-                gates[t] = self._gates(h, Z[t])
-                i, f, a, o = _unstack(gates[t])
-                c = f * c + i * a
-                h = o * np.tanh(c)
-        return self.output(hs, None), {"hs": hs, "cs": cs, "gates": gates, "Z": Z}
-
-    def backward_batch(self, cache, dY):
-        hs, cs, gates, Z = cache["hs"], cache["cs"], cache["gates"], cache["Z"]
-        T, rows = len(hs), hs.shape[1:-1]
-        grad, acc, dH = self._backward_start(dY, hs)
-        dh = dH[T - 1].copy()
-        dc = np.zeros(hs.shape[1:])
-        for t in range(T - 2, -1, -1):
-            i, f, a, o = _unstack(gates[t])
-            slope = _slopes(gates[t])
-            tc = np.tanh(cs[t + 1])
-            dct = dc + dh * o * (1.0 - tc ** 2)
-            dpre = np.stack([dct * a, dct * cs[t], dct * i, dh * tc], axis=-2) * slope
-            dh = self._backward_step(grad, acc, t, dpre.reshape(rows + (-1,)),
-                                     hs[t], Z[t]) + dH[t]
-            dc = dct * f
-        return self._backward_end(grad, acc, hs, Z)
 
 
 class StableLstmCell(LstmCell):

@@ -394,7 +394,13 @@ def cmd_bifurcate(opts):
             raise ConfigError("--sweep epoch needs --run-dir")
         if not os.path.isdir(run_dir):
             raise ConfigError(f"run directory not found: {run_dir}")
-        _, _, snapshots = load_run(run_dir)
+        try:
+            snapshots = load_run(run_dir)[2]
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"run directory {run_dir} is malformed: "
+                              f"{type(err).__name__} {err}") from None
+        if not snapshots:
+            raise ConfigError(f"run directory {run_dir} holds no snapshots")
         base = snapshots[0][1]
         pairs = [(e, c.params.values) for e, c in snapshots]
         u = _constant_inputs(base, opts.input, 1)[0]

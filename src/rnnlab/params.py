@@ -46,9 +46,6 @@ class ParameterLayout:
         if len(self._by_name) != len(self.blocks):
             raise ValueError("duplicate block names in layout")
 
-    def __contains__(self, name):
-        return name in self._by_name
-
     def names(self):
         return [b.name for b in self.blocks]
 
@@ -103,9 +100,6 @@ class ParameterVector:
                 f"expected {layout.size} values for layout, got {values.shape[-1]}"
             )
         self.values = values
-
-    def copy(self) -> "ParameterVector":
-        return ParameterVector(self.layout, self.values.copy())
 
     @property
     def size(self) -> int:

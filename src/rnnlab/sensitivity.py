@@ -7,14 +7,14 @@ step,
 
     dtheta += B[t]^T dx + F[t]^T dy[t],   dx <- A[t]^T dx + C[t]^T dy[t],
 
-at O(N * N_x^2) per sequence.  The landscape, the empirical Lipschitz
-estimates and training all take it.  Training runs a batch of sequences
-under one theta.  The landscape and the Lipschitz estimates run a model
-stacking all their points: one forward and one backward pass give every
-point's cost and gradient, and which points diverged.  Forward
-sensitivity propagation (D[t+1] = A[t] D[t] + B[t]) and central finite
-differences are kept in ``tests/helpers.py`` as the oracles the route is
-checked against.
+at O(N * N_x^2) per sequence; a cell carries dx back through the adjoint
+of its step, never building A or B.  The landscape, the empirical
+Lipschitz estimates and training all take it.  Training runs a batch of
+sequences under one theta.  The landscape and the Lipschitz estimates run
+a model stacking all their points: the same two passes give every point's
+cost and gradient, and which points diverged.  Forward sensitivity
+propagation (D[t+1] = A[t] D[t] + B[t]) and central finite differences are
+kept in ``tests/helpers.py`` as the oracles the route is checked against.
 """
 
 from __future__ import annotations

@@ -304,9 +304,9 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
 STACKED_FLOATS = 2 ** 22
 """Floats a landscape pass may stack (32 MB): a theta and an output per step, per point.
 
-With gradients a point also keeps its reverse pass per step: its states, its
-gates and their adjoints, counted as N_theta + 32 floats, which is more than
-any of the package's cells keeps.
+With gradients a point also keeps, per step, the states and gates its reverse
+pass reads (the adjoints are summed as the pass goes), counted as N_theta + 32
+floats, which is more than any of the package's cells keeps.
 """
 
 

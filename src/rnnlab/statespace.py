@@ -16,7 +16,9 @@ without building A.  ``forward_batch`` is one :func:`rollout` over per-row
 inputs, with the :class:`Rollout` as its cache, and ``backward_batch``
 accumulates in reverse from ``jacobians``, one row at a time; for a model
 stacking P points, one point at a time, on the point's ``with_params``
-model.
+model.  The package's cells replace both passes with one loop over their
+step and one over its adjoint (``cells._Cell``); these defaults serve
+every other model.
 """
 
 from __future__ import annotations
@@ -465,13 +467,6 @@ def estimate_lipschitz_f(model, region: Region, u_const, n_samples=200, rng_seed
         if s > best:
             best = s
     return best
-
-
-def lipschitz_region_from_trajectory(traj: Trajectory, pad=0.0) -> Region:
-    """State box spanned by a trajectory (theta frozen)."""
-    lo = traj.states.min(axis=0) - pad
-    hi = traj.states.max(axis=0) + pad
-    return Region(x_low=lo, x_high=hi)
 
 
 # ---------------------------------------------------------------------------

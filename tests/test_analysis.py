@@ -7,7 +7,6 @@ from rnnlab.analysis import (
     classify_attractor,
     entropy_linear_gaussian,
     epoch_bifurcation,
-    hadamard_chain,
     make_projection,
 )
 from rnnlab.cells import chaotic_reference_cell, make_cell
@@ -47,7 +46,7 @@ def test_contractive_family_single_point_per_s():
     for samp in diag.samples:
         assert not samp.diverged
         cls = classify_attractor(samp.p, tol=1e-9)
-        assert cls.is_fixed_point
+        assert cls.kind == "fixed_point"
         assert np.allclose(samp.dp, 0.0, atol=1e-12)
 
 
@@ -88,7 +87,7 @@ def test_logistic_map_period_doubling():
     c1 = classify_attractor(diag.samples[0].p, tol=1e-8)
     c2 = classify_attractor(diag.samples[1].p, tol=1e-8)
     c3 = classify_attractor(diag.samples[2].p, tol=1e-8)
-    assert c1.is_fixed_point
+    assert c1.kind == "fixed_point"
     assert c2.kind == "periodic" and c2.period == 2
     assert c3.kind == "periodic" and c3.period == 4
     # oracle agreement on the cycle values
@@ -106,9 +105,9 @@ def test_reference_band_has_multi_point_sets():
     c_small = classify_attractor(diag.samples[0].p, tol=1e-6)
     c_mid = classify_attractor(diag.samples[1].p, tol=1e-6)
     c_band = classify_attractor(diag.samples[2].p, tol=1e-6)
-    assert c_small.is_fixed_point
-    assert not c_mid.is_fixed_point
-    assert not c_band.is_fixed_point
+    assert c_small.kind == "fixed_point"
+    assert c_mid.kind != "fixed_point"
+    assert c_band.kind != "fixed_point"
 
 
 def test_divergent_sweep_value_is_marked_not_fatal():
@@ -193,8 +192,8 @@ def test_epoch_bifurcation_over_snapshots():
     assert diag.sweep == [0.0, 100.0, 200.0]
     c0 = classify_attractor(diag.samples[0].p, tol=1e-6)
     c2 = classify_attractor(diag.samples[2].p, tol=1e-6)
-    assert c0.is_fixed_point
-    assert not c2.is_fixed_point
+    assert c0.kind == "fixed_point"
+    assert c2.kind != "fixed_point"
 
 
 def test_epoch_bifurcation_argmax_feedback_runs_closed_loop():
@@ -231,7 +230,7 @@ def test_diagram_csv_round_trip(tmp_path):
 
 def test_classify_constant_sequence():
     cls = classify_attractor(np.full(20, 0.3), tol=1e-6)
-    assert cls.is_fixed_point and cls.n_distinct == 1
+    assert cls.kind == "fixed_point" and cls.n_distinct == 1
 
 
 def test_classify_alternating_sequence():
@@ -244,21 +243,12 @@ def test_classify_period_three():
     assert cls.kind == "periodic" and cls.period == 3
 
 
-def test_classify_chaotic_with_lyapunov():
-    rng = np.random.default_rng(0)
-    cls = classify_attractor(rng.standard_normal(64), tol=1e-6, lyapunov=0.2)
-    assert cls.kind == "quasiperiodic_or_chaotic"
-    assert cls.is_chaotic
-    cls2 = classify_attractor(rng.standard_normal(64), tol=1e-6, lyapunov=-0.2)
-    assert not cls2.is_chaotic
-
-
 def test_classify_does_not_split_a_value_across_grid_cells():
     # 5e-7 lies on a rounding boundary of the 1e-6 grid; jitter far below
     # tol must still read as one value
     rng = np.random.default_rng(0)
     cls = classify_attractor(5e-7 + 1e-13 * rng.standard_normal(100), tol=1e-6)
-    assert cls.is_fixed_point and cls.n_distinct == 1
+    assert cls.kind == "fixed_point" and cls.n_distinct == 1
 
 
 def test_classify_requires_enough_samples():
@@ -274,7 +264,7 @@ def test_classify_reference_chaotic_trace():
     traj = simulate(model, X0_REF, np.zeros((300, 0)))
     lam = lyapunov_exponent(model, X0_REF, np.zeros(0), burn_in=500, horizon=3000)
     cls = classify_attractor(traj.outputs[100:, 0], tol=1e-6, lyapunov=lam)
-    assert cls.is_chaotic
+    assert cls.kind == "quasiperiodic_or_chaotic" and lam > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +335,3 @@ def test_entropy_bound_orthogonal_equality():
     tr = entropy_linear_gaussian(q, np.eye(3), 5)
     rep = check_entropy_bound(tr, 1.0)
     assert rep.upper_holds and rep.lower_holds
-
-
-def test_hadamard_chain_over_random_matrices():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        logdet, sum_cols, n_log_sigma = hadamard_chain(rng.standard_normal((n, n)))
-        assert logdet <= sum_cols + 1e-9
-        assert sum_cols <= n_log_sigma + 1e-9
-
-
-def test_hadamard_chain_on_cell_jacobians():
-    cell = chaotic_reference_cell()
-    from rnnlab.statespace import simulate
-
-    traj = simulate(cell, X0_REF, np.zeros((120, 0)))
-    for t in range(20, 120, 10):
-        A, _, _, _ = cell.jacobians(traj.states[t], np.zeros(0))
-        logdet, sum_cols, n_log_sigma = hadamard_chain(A)
-        assert logdet <= sum_cols + 1e-9
-        assert sum_cols <= n_log_sigma + 1e-9

@@ -313,3 +313,21 @@ def test_help_lists_every_command(capsys):
 def test_entropy_names_the_matrix_it_cannot_use(argv, name, tmp_path, capsys):
     assert run(argv, tmp_path / "out") == cli.EXIT_CONFIG
     assert f"config error: {name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snapshot, error", [
+    ("{not json", "JSONDecodeError"),
+    ('{"kind": "lstm"}', "TypeError"),
+    (None, "holds no snapshots"),
+])
+def test_a_malformed_run_directory_is_a_config_error(snapshot, error, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    (run_dir / "snapshots").mkdir(parents=True)
+    (run_dir / "config.json").write_text("{}\n")
+    (run_dir / "history.csv").write_text("epoch,loss,metric,grad_norm,lr\n")
+    if snapshot is not None:
+        (run_dir / "snapshots" / "epoch_0.json").write_text(snapshot)
+    argv = ["bifurcate", "--sweep", "epoch", "--run-dir", str(run_dir)]
+    assert run(argv, tmp_path / "diagram") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: run directory {run_dir}" in err and error in err

@@ -422,6 +422,25 @@ def test_stacked_pass_matches_per_point_gradients(kind, task):
                 _assert_rows_match_per_point(cell, thetas, seqs, loss)
 
 
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("task", ["sine", "symbols"])
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+def test_a_stacked_row_gets_the_shared_pass_gradient(kind, task, bias):
+    # one reverse loop serves both: a stacked theta sums its weight cotangents
+    # row by row, a shared theta in one GEMM over the sequences
+    from rnnlab.cells import _cell_class
+
+    rng = np.random.default_rng(24)
+    cell = _cell_class(kind)(4, n_input=2, bias=bias, readout="linear", n_output=2,
+                             init_seed=5)
+    seqs, loss = _task_sequences(cell, task, rng, T=30)
+    _, grad = cost_and_gradient_reverse(cell, seqs, loss)
+    _, grads, diverged = cost_and_gradient_reverse(
+        cell.with_params(cell.params.values[None]), seqs, loss)
+    assert grads.shape == (1, cell.n_params) and not diverged.any()
+    assert np.abs(grads[0] - grad).max() <= 1e-14 * np.abs(grad).max()
+
+
 @pytest.mark.parametrize("model", [DrivenScalar(0.7, a=0.9), TanhMap(1.3)])
 def test_stacked_pass_of_a_default_model_matches_per_point_gradients(model):
     seqs = _random_sequences(model, [12, 12, 9], seed=22)
