@@ -29,7 +29,6 @@ from .cells import (
     make_cell,
     project_stable,
     realize_orthogonal,
-    save_cell,
     spectral_norm,
 )
 from .errors import (

@@ -641,12 +641,6 @@ def cell_to_dict(cell) -> dict:
     return doc
 
 
-def save_cell(cell, path):
-    with open(path, "w") as fh:
-        json.dump(cell_to_dict(cell), fh, indent=1)
-        fh.write("\n")
-
-
 def cell_from_dict(doc) -> DynamicalModel:
     """Inverse of :func:`cell_to_dict`; absent config keys take their defaults."""
     version = doc.get("format_version", CELL_FORMAT_VERSION)

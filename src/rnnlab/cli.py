@@ -11,7 +11,9 @@ asking for the same run give the same outputs and the same spec hash.
 Exit codes: 0 ok, 2 config error, 3 numerical divergence, 4 I/O error.
 Every output file embeds the resolved-config hash, the seed and the
 package version, so re-running a command reproduces its outputs byte for
-byte.
+byte.  JSON files hold the bytes ``json.dump(doc, indent=1)`` would write,
+with each number formatted once (:mod:`rnnlab.jsontext`); tests check them
+against that streamed writer.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .analysis import (
 )
 from .cells import cell_from_dict, cell_to_dict, make_cell
 from .errors import ConfigError, DivergentCost, NonFiniteState, RnnLabError, SingularMatrix
+from .jsontext import write_json as _write_json
 from .sensitivity import LOSSES, Sequence
 from .smoothness import (
     SmoothnessConstants,
@@ -46,7 +49,7 @@ from .training import (
     SineTask,
     SymbolTask,
     TrainConfig,
-    load_run,
+    load_snapshots,
     save_run,
     train,
 )
@@ -249,12 +252,6 @@ def _meta(resolved, seed):
     }
 
 
-def _write_json(path, doc):
-    # one write of the whole document: json.dump would write it piece by piece
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
-
-
 def _outdir(opts):
     os.makedirs(opts.out, exist_ok=True)
     return opts.out
@@ -395,7 +392,7 @@ def cmd_bifurcate(opts):
         if not os.path.isdir(run_dir):
             raise ConfigError(f"run directory not found: {run_dir}")
         try:
-            snapshots = load_run(run_dir)[2]
+            snapshots = load_snapshots(run_dir)
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"run directory {run_dir} is malformed: "
                               f"{type(err).__name__} {err}") from None

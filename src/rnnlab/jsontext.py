@@ -1,0 +1,57 @@
+"""JSON artefacts: the bytes of ``json.dumps(doc, indent=1)`` and a newline.
+
+A list of floats, or of such lists, becomes one string: the floats'
+``float.__repr__`` joined, laid out by ``str.replace`` and spelled as
+``json`` spells NaN and the infinities.  All else goes to ``json.dumps``,
+whose indenting encoder is pure Python.  ``float.__repr__``, not ``repr``:
+under numpy 2, ``repr`` of a numpy float scalar is ``np.float64(...)``.
+"""
+
+import json
+
+
+class FloatRows(list):
+    """Float rows, each formatted once as ``",".join`` of its ``float.__repr__``."""
+
+    @classmethod
+    def of(cls, rows):
+        return cls(",".join(map(float.__repr__, row)) for row in rows)
+
+
+def write_json(path, doc):
+    """Write ``json.dumps(doc, indent=1) + "\\n"`` to ``path`` in one write."""
+    with open(path, "w") as fh:
+        fh.write(_encode(doc, "\n") + "\n")
+
+
+def _encode(value, pad):
+    """``value`` laid out as ``json.dumps(value, indent=1)`` nests it after ``pad``."""
+    inner = pad + " "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = [f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return json.dumps(value, indent=1).replace("\n", pad)
+    try:
+        if not isinstance(value, FloatRows):
+            if not all(isinstance(row, (list, tuple)) for row in value):
+                return _floats(",".join(map(float.__repr__, value)), pad)
+            value = FloatRows.of(value)
+    except TypeError:  # an item that is not a float
+        items = [_encode(v, inner) for v in value]
+    else:
+        if all(value):  # all rows in one pass: ";" is in no float repr
+            row_break = f"{inner}],{inner}[{inner} "
+            items = [_floats(";".join(value), inner).replace(";", row_break)]
+        else:
+            items = [_floats(row, inner) for row in value]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _floats(joined, pad):
+    """The array of the floats whose reprs ``joined`` holds, nested after ``pad``."""
+    if not joined:
+        return "[]"
+    text = "[" + pad + " " + joined.replace(",", "," + pad + " ") + pad + "]"
+    # a finite float's repr holds no "n" and no "i"
+    return text.replace("nan", "NaN").replace("inf", "Infinity")

@@ -23,13 +23,13 @@ every other model.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EmptyRegion, NonFiniteState
+from .jsontext import FloatRows, write_json
 from .params import ParameterVector
 
 log = logging.getLogger(__name__)
@@ -132,45 +132,54 @@ class Trajectory:
     outputs: np.ndarray  # (N, N_y)
     inputs: np.ndarray   # (N, N_z)
     t0: int = 0
+    _formatted: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.states.shape[0]
 
+    def _rows(self):
+        """States and outputs as :class:`FloatRows`, formatted once per content."""
+        key = [(a.dtype.str, a.shape, a.tobytes()) for a in (self.states, self.outputs)]
+        if self._formatted is None or self._formatted[0] != key:
+            self._formatted = (key, FloatRows.of(self.states.tolist()),
+                               FloatRows.of(self.outputs.tolist()))
+        return self._formatted[1:]
+
     def to_csv(self, path, meta=None):
-        """Write ``t,x0..,y0..`` rows; floats use shortest round-trip repr."""
-        n_x = self.states.shape[1]
-        n_y = self.outputs.shape[1]
+        """Write ``t,x0..,y0..`` rows; floats use shortest round-trip repr.
+
+        The file shares its formatted numbers with :meth:`to_json`, so each
+        number is formatted once for both.  Tests check both files byte for
+        byte against element-by-element and ``json.dump`` writers.
+        """
+        states, outputs = self._rows()
+        n_x, n_y = self.states.shape[1], self.outputs.shape[1]
         header = ",".join(
             ["t"] + [f"x{i}" for i in range(n_x)] + [f"y{i}" for i in range(n_y)]
         )
-        lines = []
-        if meta:
-            for k, v in meta.items():
-                lines.append(f"# {k}={v}")
+        lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
         lines.append(header)
-        # Python floats from one tolist(): repr of each is the shortest round trip
-        rows = np.hstack([self.states, self.outputs]).tolist()
-        for t, row in enumerate(rows, self.t0):
-            lines.append(",".join([str(t), *map(repr, row)]))
+        columns = [map(str, range(self.t0, self.t0 + len(self)))]
+        columns += [rows for rows, width in ((states, n_x), (outputs, n_y)) if width]
+        lines.extend(map(",".join, zip(*columns)))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
     def to_json(self, path, model_name="model", theta_hash=None, seed=None, meta=None):
+        """Write the trajectory document as ``json.dump(doc, indent=1)`` would."""
+        states, outputs = self._rows()
         doc = {
             "format_version": 1,
             "model": model_name,
             "theta_hash": theta_hash,
             "seed": seed,
             "t0": self.t0,
-            "states": self.states.tolist(),
-            "outputs": self.outputs.tolist(),
+            "states": states,
+            "outputs": outputs,
             "inputs": self.inputs.tolist(),
         }
-        if meta:
-            doc.update(meta)
-        # one write of the whole document: json.dump would write it piece by piece
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc, indent=1) + "\n")
+        doc.update(meta or {})
+        write_json(path, doc)
 
 
 def _as_input_array(model, inputs):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .cells import StableLstmCell, cell_from_dict, cell_to_dict, project_stable
 from .errors import ConfigError, NonFiniteState
+from .jsontext import write_json
 from .sensitivity import (
     SIGMOID_CROSS_ENTROPY,
     SQUARED_ERROR,
@@ -386,18 +387,28 @@ def save_run(run: TrainRun, out_dir, extra_meta=None):
     }
     if extra_meta:
         doc.update(extra_meta)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "config.json"), doc)
 
     base = cell_from_dict(run.cell_doc)
     for epoch, values in run.snapshots:
         snap_doc = cell_to_dict(base.with_params(values))
         if extra_meta:
             snap_doc.update(extra_meta)
-        with open(os.path.join(snap_dir, f"epoch_{epoch}.json"), "w") as fh:
-            json.dump(snap_doc, fh, indent=1)
-            fh.write("\n")
+        write_json(os.path.join(snap_dir, f"epoch_{epoch}.json"), snap_doc)
+
+
+def load_snapshots(run_dir):
+    """Read back the [(epoch, cell)] snapshots of a run directory, by epoch."""
+    snap_dir = os.path.join(run_dir, "snapshots")
+    snapshots = []
+    for fname in os.listdir(snap_dir):
+        if not fname.startswith("epoch_"):
+            continue
+        epoch = int(fname[len("epoch_"):-len(".json")])
+        with open(os.path.join(snap_dir, fname)) as fh:
+            snapshots.append((epoch, cell_from_dict(json.load(fh))))
+    snapshots.sort(key=lambda p: p[0])
+    return snapshots
 
 
 def load_run(run_dir):
@@ -416,13 +427,4 @@ def load_run(run_dir):
                 continue
             vals = line.split(",")
             history.append({k: float(v) for k, v in zip(header, vals)})
-    snap_dir = os.path.join(run_dir, "snapshots")
-    snapshots = []
-    for fname in os.listdir(snap_dir):
-        if not fname.startswith("epoch_"):
-            continue
-        epoch = int(fname[len("epoch_"):-len(".json")])
-        with open(os.path.join(snap_dir, fname)) as fh:
-            snapshots.append((epoch, cell_from_dict(json.load(fh))))
-    snapshots.sort(key=lambda p: p[0])
-    return config_doc, history, snapshots
+    return config_doc, history, load_snapshots(run_dir)

@@ -6,7 +6,8 @@ central finite differences, of the Jacobians and of the cost.  So do the
 Lyapunov exponent from full state Jacobians, which the library forms as
 tangent products instead, the empirical Lipschitz estimate one point at a
 time, which the library takes from one stacked pass, and the
-element-by-element trajectory and streamed JSON writers.
+element-by-element trajectory and streamed JSON writers, which also write
+the tests' cell files.
 """
 
 import json
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rnnlab.cells import cell_to_dict
 from rnnlab.errors import DivergentCost, NonFiniteState
 from rnnlab.params import ParameterLayout, ParameterVector
 from rnnlab.sensitivity import SQUARED_ERROR, _as_dataset, cost, cost_and_gradient_reverse
@@ -434,6 +436,11 @@ def write_json_streamed(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def save_cell(cell, path):
+    """A cell file: ``cell_to_dict`` streamed through ``json.dump``."""
+    write_json_streamed(path, cell_to_dict(cell))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ from rnnlab.cells import (
     orthogonal_tangent,
     project_stable,
     realize_orthogonal,
-    save_cell,
 )
 from rnnlab.errors import ConfigError
 from rnnlab.statespace import simulate
 
-from helpers import fd_jacobians, rel_err
+from helpers import fd_jacobians, rel_err, save_cell
 
 GOLDEN = "tests/golden/chaotic_lstm_trajectory.csv"
 

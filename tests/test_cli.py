@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rnnlab import cli, smoothness
+from rnnlab import cli, smoothness, training
 from rnnlab.errors import DivergentCost
+from rnnlab.jsontext import write_json
+from rnnlab.statespace import Trajectory
 
-from helpers import write_json_streamed
+from helpers import trajectory_csv_by_element, trajectory_json_streamed, write_json_streamed
 
 REFERENCE = str(files("rnnlab").joinpath("data", "chaotic_lstm_2x2.json"))
 X0 = "0.5,0.5,0.5,0.5"
@@ -265,6 +267,49 @@ def test_json_artefacts_are_the_streamed_documents(tmp_path):
     cli._write_json(tmp_path / "one.json", doc)
     write_json_streamed(tmp_path / "two.json", doc)
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+@pytest.mark.parametrize("task, kind", [("sine", "lstm"), ("symbols", "slstm")])
+def test_run_directory_json_files_are_the_streamed_documents(task, kind, tmp_path,
+                                                             monkeypatch):
+    def both(path, doc):
+        write_json(path, doc)
+        write_json_streamed(f"{path}.streamed", doc)
+
+    monkeypatch.setattr(training, "write_json", both)
+    assert run(["train", "--task", task, "--cell", kind, "--hidden", "2", "--epochs", "2",
+                "--snapshot-every", "1"], tmp_path) == cli.EXIT_OK
+    written = sorted(tmp_path.rglob("*.json"))
+    assert [p.name for p in written] == ["config.json"] + [f"epoch_{e}.json" for e in range(3)]
+    for path in written:
+        assert path.read_bytes() == Path(f"{path}.streamed").read_bytes()
+
+
+def test_simulate_writes_the_files_of_the_element_by_element_writers(tmp_path, monkeypatch):
+    argv = ["simulate", "--weights", REFERENCE, "--steps", "50", "--x0", X0, "--seed", "4"]
+    assert run(argv, tmp_path / "fast") == cli.EXIT_OK
+    monkeypatch.setattr(Trajectory, "to_csv", trajectory_csv_by_element)
+    monkeypatch.setattr(Trajectory, "to_json", trajectory_json_streamed)
+    assert run(argv, tmp_path / "oracle") == cli.EXIT_OK
+    fast = tree(tmp_path / "fast")
+    assert (tmp_path / "fast" / "trajectory.csv").read_text().startswith("# spec_hash=")
+    assert sorted(map(str, fast)) == ["trajectory.csv", "trajectory.json"]
+    assert fast == tree(tmp_path / "oracle")
+
+
+def test_epoch_sweep_reads_the_snapshots_alone(tmp_path):
+    assert run(["train", "--task", "sine", "--cell", "lstm", "--hidden", "2",
+                "--epochs", "1", "--seed", "3"], tmp_path / "run") == cli.EXIT_OK
+    shutil.copytree(tmp_path / "run" / "snapshots", tmp_path / "alone" / "snapshots")
+    shutil.copytree(tmp_path / "run", tmp_path / "bad_history")
+    (tmp_path / "bad_history" / "history.csv").write_text("epoch,loss\n0,not a number\n")
+    diagrams = []
+    for name in ("run", "alone", "bad_history"):
+        out = tmp_path / "diagram" / name
+        assert run(["bifurcate", "--sweep", "epoch", "--run-dir", str(tmp_path / name),
+                    "--burn-in", "5", "--record", "4", "--input", "0.07"], out) == cli.EXIT_OK
+        diagrams.append(tree(out))
+    assert diagrams[0] and diagrams[0] == diagrams[1] == diagrams[2]
 
 
 # every command's flags, as they were when all seven parsers were built on each call

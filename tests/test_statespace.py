@@ -5,6 +5,7 @@ from rnnlab.cells import chaotic_reference_cell, make_cell
 from rnnlab.errors import NonFiniteState
 from rnnlab.statespace import (
     Region,
+    Trajectory,
     estimate_lipschitz_f,
     find_fixed_points,
     lyapunov_exponent,
@@ -375,3 +376,17 @@ def test_trajectory_files_match_the_element_by_element_writers(tmp_path):
     traj.to_json(tmp_path / "a.json", **args)
     trajectory_json_streamed(traj, tmp_path / "b.json", **args)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_trajectory_files_follow_changes_to_the_arrays(tmp_path):
+    cell = make_cell("lstm", 2, n_input=1, readout="linear", n_output=1, init_seed=3)
+    traj = simulate(cell, np.zeros(4), np.linspace(-1.0, 1.0, 10)[:, None])
+    traj.to_csv(tmp_path / "before.csv")
+    traj.states[0, 0] = -0.0   # equal to the 0.0 it replaces, but written differently
+    traj.outputs = traj.outputs * 2.0
+    for write, oracle, name in ((Trajectory.to_csv, trajectory_csv_by_element, "csv"),
+                                (Trajectory.to_json, trajectory_json_streamed, "json")):
+        write(traj, tmp_path / f"a.{name}")
+        oracle(traj, tmp_path / f"b.{name}")
+        assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "before.csv").read_bytes()
