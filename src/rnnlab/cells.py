@@ -1,4 +1,4 @@
-"""Concrete recurrent cells with hand-derived Jacobians.
+"""Concrete recurrent cells, each deriving its step once, as tangent and adjoint.
 
 Four cell kinds share the :class:`~rnnlab.statespace.DynamicalModel`
 contract:
@@ -22,9 +22,10 @@ computes all four gates in one product, with no change of layout.
 the state may be (P, N_x) and the parameters (P, N_theta), as built by
 ``with_params`` from a matrix of parameter vectors.  So does
 ``step_tangent``, the step with the product A V for tangents V (..., N_x, k):
-each kind forms A V from the gates of its step, never building A, and this
-is the one place a kind derives A (``jacobians`` takes it as A I).
-``jacobians`` is single-point.
+each kind forms A V from the gates of its step, never building A.
+``jacobians`` is single-point and derives nothing of its own: A is A I, and
+B = dx'/dtheta comes row by row from the step adjoint (below) of the unit
+cotangents.
 
 The gradient route runs through one forward and one reverse loop, both
 in ``_Cell``.  A kind gives ``_advance``, the next state and what the
@@ -35,7 +36,7 @@ besides h (the LSTM's dL/dc).  The reverse loop adds the weight gradients
 at every step, summed over the sequences: one GEMM per weight group under
 a shared theta, one product per row under a stacked one.  The test suite
 checks the passes against forward sensitivity propagation and finite
-differences, the stacked rows against single points, and the tangents
+differences, the stacked rows against single points, and A and B
 against finite-difference Jacobians.
 """
 
@@ -87,14 +88,6 @@ def realize_orthogonal(s_raw):
     return expm(low - np.swapaxes(low, -1, -2))
 
 
-def orthogonal_tangent(s_raw, ds_raw):
-    """Directional derivative of realize_orthogonal at s_raw along ds_raw."""
-    s_raw = np.asarray(s_raw, dtype=float)
-    low = np.tril(s_raw, -1)
-    dlow = np.tril(np.asarray(ds_raw, dtype=float), -1)
-    return expm_frechet(low - low.T, dlow - dlow.T, compute_expm=False)
-
-
 def _matvec(W, v):
     """W v over leading axes: a shared 2-D W, or one W per stacked point.
 
@@ -126,26 +119,6 @@ def _sequence_sum(d, v):
     return d.transpose(rows + (d.ndim - 1, 0)) @ v.transpose(rows + (0, v.ndim - 1))
 
 
-def _outer_block(coef, v):
-    """Jacobian of out[a] = coef[k, a] * (W_k v)[a] in K stacked blocks W_k.
-
-    ``coef`` is (..., K, H) and ``v`` (w,); the K blocks of shape (H, w) lie
-    back to back in theta, as :meth:`ParameterLayout.stacked` reads them.
-    Row a of the (..., H) rows, flattened, has coef[k, a] v[b] at column
-    (k, a, b) and zeros elsewhere.  A bias is the case v = [1], and the
-    linear readout the case K = 1, coef = 1.
-    """
-    *lead, K, H = coef.shape
-    w = v.shape[0]
-    block = np.zeros((*lead, H, K, H, w))
-    # the entries whose two row indices agree, written through a diagonal view
-    np.einsum("...akab->...akb", block)[...] = np.swapaxes(coef, -1, -2)[..., None] * v
-    return block.reshape(-1, K * H * w)
-
-
-_ONE = np.ones(1)
-
-
 # ---------------------------------------------------------------------------
 # the shared cell base
 # ---------------------------------------------------------------------------
@@ -170,9 +143,9 @@ class _Cell(DynamicalModel):
     A kind gives ``_advance(x, z) -> (x', gates)``, from which ``step``,
     ``forward_batch`` and its ``step_tangent`` take the step;
     ``_step_adjoint(gates, x, x', dh', carry') -> (dpre, carry)``, from
-    which ``backward_batch`` takes the reverse of the step; and
-    ``_pre_coefficients``, d x'/d pre of its gates, from which ``jacobians``
-    builds B (A comes from ``step_tangent``).
+    which ``backward_batch`` takes the reverse of the step and ``jacobians``
+    takes B, as the adjoint of the N_x unit cotangents (A comes from
+    ``step_tangent``).
     """
 
     _CONFIG = ("n_hidden", "n_input", "bias", "readout", "n_output")
@@ -284,36 +257,34 @@ class _Cell(DynamicalModel):
         return _matvec(self.params.get("W_out"), h) + self.params.get("b_out")
 
     def jacobians(self, x, z):
+        """A as A I from ``step_tangent``; row r of B = dx'/dtheta as the step
+        adjoint of the unit cotangent e_r, which gives dpre = dx'_r/d pre of
+        the gates, hence the blocks dpre h^T, dpre z^T and dpre."""
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        A = self.step_tangent(x, z, np.eye(self.state_dim))[1]
-        B = self._param_jacobian(self._pre_coefficients(x, z), self._hidden_of(x), z)
-        C = np.zeros((self.output_dim, self.state_dim))
-        F = np.zeros((self.output_dim, self.n_params))
-        if self.readout == "identity":
-            C[:, : self.n_hidden] = np.eye(self.n_hidden)
-        else:
-            C[:, : self.n_hidden] = self.params.get("W_out")
-            ones = np.ones((1, self.output_dim))
-            layout = self.params.layout
-            F[:, layout.slice("W_out")] = _outer_block(ones, self._hidden_of(x))
-            F[:, layout.slice("b_out")] = _outer_block(ones, _ONE)
-        return A, B, C, F
-
-    def _param_jacobian(self, coef, h, z):
-        """B = d x'/d theta from coef = d x'/d pre (``_pre_coefficients``),
-        (..., K, H) for the K gates."""
-        B = np.zeros((self.state_dim, self.n_params))
-        layout = self.params.layout
-        self._recurrent_param_jacobian(B, coef, h)
+        H, I = self.n_hidden, np.eye(self.state_dim)
+        x_new, A = self.step_tangent(x, z, I)
+        dpre = self._step_adjoint(self._advance(x, z)[1], x, x_new, I[:, :H], I[:, H:])[0]
+        B = ParameterVector(self.params.layout, np.zeros((self.state_dim, self.n_params)))
+        self._write_recurrent_rows(B, dpre, x[:H])
         if self.n_input > 0:
-            B[:, layout.stacked(self._U).span] = _outer_block(coef, z)
+            np.einsum("rk,j->rkj", dpre, z, out=B.get_stacked(self._U))
         if self.bias:
-            B[:, layout.stacked(self._b).span] = _outer_block(coef, _ONE)
-        return B
+            B.get_stacked(self._b)[...] = dpre
+        C = np.zeros((self.output_dim, self.state_dim))
+        F = ParameterVector(self.params.layout, np.zeros((self.output_dim, self.n_params)))
+        if self.readout == "identity":
+            C[:, :H] = np.eye(H)
+        else:
+            C[:, :H] = self.params.get("W_out")
+            F.get("W_out")[np.diag_indices(self.output_dim)] = x[:H]  # dy_a/dW_out[a] = h
+            F.get("b_out")[...] = np.eye(self.output_dim)
+        return A, B.values, C, F.values
 
-    def _recurrent_param_jacobian(self, B, coef, h):
-        B[:, self.params.layout.stacked(self._W).span] = _outer_block(coef, h)
+    def _write_recurrent_rows(self, B, dpre, h):
+        """B's recurrent block dpre h^T, written straight into its strided view
+        (several times faster than adding a temporary into it)."""
+        np.einsum("rk,j->rkj", dpre, h, out=B.get_stacked(self._W))
 
     # ---- batched forward and backward passes ----
 
@@ -390,9 +361,6 @@ class VanillaRnnCell(_Cell):
         h_new = self.step(x, z)
         return h_new, (1.0 - h_new ** 2)[..., None] * (self._W_mat @ V)
 
-    def _pre_coefficients(self, x, z):
-        return (1.0 - self.step(x, z) ** 2)[None]
-
 
 # ---------------------------------------------------------------------------
 # orthogonal RNN
@@ -433,20 +401,9 @@ class OrthogonalRnnCell(VanillaRnnCell):
         """The realized orthogonal W, (..., H, H)."""
         return realize_orthogonal(self.skew_matrix())
 
-    @cached_property
-    def _tangents(self):
-        """d W / d S_raw[k] for every packed skew parameter, (n_skew, H, H)."""
-        H = self.n_hidden
-        S = self.skew_matrix()
-        tangents = []
-        for i, j in zip(*np.tril_indices(H, -1)):
-            E = np.zeros((H, H))
-            E[i, j] = 1.0
-            tangents.append(orthogonal_tangent(S, E))
-        return np.array(tangents).reshape(-1, H, H)
-
-    def _recurrent_param_jacobian(self, B, coef, h):
-        B[:, self.params.layout.slice("S_raw")] = coef[0][:, None] * (self._tangents @ h).T
+    def _write_recurrent_rows(self, B, dpre, h):
+        """dx'/dS_raw from dx'/dW = dpre h^T, row by row, by the gradient's map."""
+        self._add_recurrent_gradient(B, dpre[..., None] * h)
 
     def _add_recurrent_gradient(self, grad, gW):
         """dL/dS_raw from dL/dW, through the adjoint of the Frechet derivative of exp."""
@@ -454,8 +411,9 @@ class OrthogonalRnnCell(VanillaRnnCell):
         S = low - np.swapaxes(low, -1, -2)
         if gW.ndim == 2:
             gS = expm_frechet(S.T, gW, compute_expm=False)
-        else:  # per stacked row; a row that diverged keeps NaN
+        else:  # per stacked row, or per row of B; a row that diverged keeps NaN
             gS = np.full(gW.shape, np.nan)
+            S = np.broadcast_to(S, gW.shape)  # B's rows share one S
             for p in np.flatnonzero(np.isfinite(gW).all(axis=(1, 2))):
                 gS[p] = expm_frechet(S[p].T, gW[p], compute_expm=False)
         gS = gS - np.swapaxes(gS, -1, -2)
@@ -565,18 +523,6 @@ class LstmCell(_Cell):
         dc = df * c + f * V[..., H:, :] + di * a + i * da
         dh = do * tc + o * (1.0 - tc ** 2) * dc
         return x_new, np.concatenate([dh, dc], axis=-2)
-
-    def _pre_coefficients(self, x, z):
-        """d h'/d pre_k and d c'/d pre_k, stacked as (2, 4, H): rows of h', then c'."""
-        x_new, gates = self._advance(x, z)
-        i, f, a, o = gates
-        c = self.split_state(x)[1]
-        tc = np.tanh(self.split_state(x_new)[1])
-        slope = _slopes(gates)
-        c_coef = np.stack([a, c, i, np.zeros(self.n_hidden)]) * slope
-        h_coef = o * (1.0 - tc ** 2) * c_coef
-        h_coef[3] = tc * slope[3]
-        return np.stack([h_coef, c_coef])
 
 
 class StableLstmCell(LstmCell):

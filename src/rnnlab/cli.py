@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -79,7 +80,6 @@ def _typed(convert, types, what):
 
 
 _int = _typed(int, (int, str), "an integer")
-_float = _typed(float, (int, float, str), "a number")
 _str = _typed(str, (str,), "a string")
 _switch = _typed(bool, (bool,), "true or false")   # a flag without a value
 
@@ -100,6 +100,8 @@ def _at_least(low):
     return _checked(_int, lambda v: v >= low, f"an integer >= {low}")
 
 
+_float = _checked(_typed(float, (int, float, str), "a number"), math.isfinite,
+                  "a finite number")
 _positive = _checked(_float, lambda v: v > 0, "a number > 0")
 
 
@@ -129,11 +131,10 @@ _floats = _list_of(_float)
 
 
 def _range(value):
-    try:
-        lo, hi = (float(v) for v in _str(value).split(":"))
-    except ValueError:
-        raise ConfigError(f"expected lo:hi, got {value!r}") from None
-    return lo, hi
+    items = _str(value).split(":")
+    if len(items) != 2:
+        raise ConfigError(f"expected lo:hi, got {value!r}")
+    return tuple(map(_float, items))
 
 
 def _ranges(value):
@@ -142,7 +143,7 @@ def _ranges(value):
 
 def _drops(value):
     try:
-        return [(int(e), float(f)) for e, f in (
+        return [(_int(e), _float(f)) for e, f in (
             item.split(":") for item in _str(value).split(",") if item.strip())]
     except ValueError:
         raise ConfigError(f"expected epoch:factor,..., got {value!r}") from None
@@ -170,14 +171,18 @@ def _read_json(path, what):
 def _matrix(value):
     text = _str(value)
     if text.startswith("diag:"):
-        return np.diag(_floats(text[len("diag:"):]))
-    if not text.endswith(".json"):
+        M = np.diag(_floats(text[len("diag:"):]))
+    elif not text.endswith(".json"):
         raise ConfigError(f"expected 'diag:a,b,...' or a .json file, got {text!r}")
-    doc = _read_json(text, "matrix file")
-    try:
-        return np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"matrix file {text} does not hold a matrix of numbers") from None
+    else:
+        doc = _read_json(text, "matrix file")
+        try:
+            M = np.asarray(doc, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"matrix file {text} does not hold a matrix of numbers") from None
+    if M.size == 0 or not np.isfinite(M).all():
+        raise ConfigError(f"expected a non-empty matrix of finite numbers, got {text!r}")
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +508,7 @@ _TRAIN = (
     ("task", _choice("sine", "symbols"), "sine", "training task"),
     _HIDDEN,
     ("length", _at_least(SymbolTask.MIN_LENGTH), 50, "symbol sequence length"),
-    ("epochs", _int, None, "epochs (default 1500 sine, 2000 symbols)"),
+    ("epochs", _at_least(0), None, "epochs (default 1500 sine, 2000 symbols)"),
     ("lr", _float, None, "initial learning rate (default 1e-3 sine, 1e-2 symbols)"),
     ("batch_size", _at_least(0), None, "batch size, 0 for all (default 0 sine, 100 symbols)"),
     ("clip_norm", _float, 0.25, "global gradient-norm clip"),

@@ -418,8 +418,6 @@ def local_minima_census(grid: LandscapeGrid):
     if grid.ndim != 1:
         raise ValueError("census requires a 1-D grid")
     v = grid.values
-    if v.size < 3:
-        raise ValueError("need at least 3 grid points")
     locations = []
     for i in range(1, v.size - 1):
         if np.isnan(v[i - 1]) or np.isnan(v[i]) or np.isnan(v[i + 1]):

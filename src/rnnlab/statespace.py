@@ -8,17 +8,18 @@ A model is the pair of maps
 with analytic Jacobians A = df/dx, B = df/dtheta, C = dg/dx, F = dg/dtheta.
 Everything downstream (simulation, fixed points, Lyapunov exponents,
 gradients, bifurcation diagrams, smoothness estimates) is built on this
-contract, so concrete cells only implement step/output/jacobians.  Three
-defaults build on those.  ``step_tangent`` returns the step and the product
-A V of the state Jacobian with a block of tangent vectors, from
-``jacobians``; a cell overrides it to form A V from the step's own gates,
-without building A.  ``forward_batch`` is one :func:`rollout` over per-row
-inputs, with the :class:`Rollout` as its cache, and ``backward_batch``
-accumulates in reverse from ``jacobians``, one row at a time; for a model
-stacking P points, one point at a time, on the point's ``with_params``
-model.  The package's cells replace both passes with one loop over their
-step and one over its adjoint (``cells._Cell``); these defaults serve
-every other model.
+contract: a model implements step/output/jacobians.  Three defaults build
+on those.  ``step_tangent`` returns the step and the product A V of the
+state Jacobian with a block of tangent vectors, from ``jacobians``.
+``forward_batch`` is one :func:`rollout` over per-row inputs, with the
+:class:`Rollout` as its cache, and ``backward_batch`` accumulates in reverse
+from ``jacobians``, one row at a time; for a model stacking P points, one
+point at a time, on the point's ``with_params`` model.  The package's cells
+derive no Jacobian by hand: each kind implements its step as ``_advance``,
+its transpose ``_step_adjoint`` and its tangent ``step_tangent`` (A V from
+the step's own gates, without building A), and ``cells._Cell`` takes
+``jacobians`` and one loop over the step and one over its adjoint from
+them.  These defaults serve every other model.
 """
 
 from __future__ import annotations

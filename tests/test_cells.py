@@ -6,7 +6,6 @@ import pytest
 
 from rnnlab.cells import (
     CHAOTIC_REFERENCE_STATE,
-    _outer_block,
     LstmCell,
     OrthogonalRnnCell,
     StableLstmCell,
@@ -16,7 +15,6 @@ from rnnlab.cells import (
     chaotic_reference_cell,
     load_cell,
     make_cell,
-    orthogonal_tangent,
     project_stable,
     realize_orthogonal,
 )
@@ -192,20 +190,6 @@ def test_jacobians_match_finite_differences(kind):
     assert worst < 1e-5
 
 
-def test_outer_block_equals_the_gate_by_gate_loop():
-    rng = np.random.default_rng(5)
-    coef = rng.standard_normal((2, 4, 3))   # 2 row groups, K = 4 blocks, H = 3
-    v = rng.standard_normal(5)
-    want = np.zeros((2, 3, 4 * 3 * 5))
-    for r in range(2):
-        for k in range(4):
-            for a in range(3):
-                start = k * 15 + a * 5
-                want[r, a, start : start + 5] = coef[r, k, a] * v
-    assert np.array_equal(_outer_block(coef, v), want.reshape(6, -1))
-    assert np.array_equal(_outer_block(coef[0, :1], np.ones(1)), np.diag(coef[0, 0]))
-
-
 @pytest.mark.parametrize("kind", ["vanilla", "lstm", "ornn"])
 def test_jacobians_without_inputs_or_bias(kind):
     rng = np.random.default_rng(2)
@@ -271,16 +255,6 @@ def test_realize_orthogonal_many_seeds(n):
         W = realize_orthogonal(s_raw)
         worst = max(worst, np.abs(W.T @ W - np.eye(n)).max())
     assert worst < 1e-8
-
-
-def test_orthogonal_tangent_matches_finite_difference():
-    rng = np.random.default_rng(3)
-    s_raw = rng.standard_normal((5, 5))
-    ds = rng.standard_normal((5, 5))
-    eps = 1e-7
-    fd = (realize_orthogonal(s_raw + eps * ds) - realize_orthogonal(s_raw - eps * ds)) / (2 * eps)
-    got = orthogonal_tangent(s_raw, ds)
-    assert rel_err(got, fd) < 1e-6
 
 
 def test_orthogonality_preserved_under_any_update():
@@ -352,6 +326,26 @@ def test_projected_cell_is_contractive_on_state_box():
         seeds = [rng.uniform(-1, 1, 8) for _ in range(5)]
         fps = find_fixed_points(cell, np.zeros(0), seeds, tol=1e-11)
         assert len(fps) == 1 and fps[0].stability == "stable"
+
+
+@pytest.mark.parametrize("kind", ["lstm", "ornn"])
+def test_joint_lipschitz_estimate_is_the_largest_finite_difference_norm(kind):
+    from rnnlab.statespace import Region, estimate_lipschitz_f
+
+    cell = make_cell(kind, 3, n_input=2, bias=True, readout="identity", init_seed=2)
+    theta = cell.params.values
+    region = Region(x_low=-np.ones(cell.state_dim), x_high=np.ones(cell.state_dim),
+                    theta_low=theta - 0.5, theta_high=theta + 0.5)
+    u = np.array([0.3, -0.7])
+    est = estimate_lipschitz_f(cell, region, u, n_samples=6, rng_seed=4)
+    rng = np.random.default_rng(4)  # the samples the estimate draws, in its order
+    want = 0.0
+    for _ in range(6):
+        x = rng.uniform(region.x_low, region.x_high)
+        A, B, _, _ = fd_jacobians(cell.with_params(rng.uniform(region.theta_low,
+                                                               region.theta_high)), x, u)
+        want = max(want, np.linalg.norm(np.hstack([A, B]), 2))
+    assert abs(est - want) < 1e-7 * want
 
 
 # ---------------------------------------------------------------------------

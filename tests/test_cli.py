@@ -56,6 +56,15 @@ def test_landscape_starts_every_point_from_x0(tmp_path):
     assert hashes[0] != hashes[1]
 
 
+def test_landscape_of_two_points_reports_no_minimum(tmp_path):
+    argv = ["landscape", "--weights", REFERENCE, "--range", "0.8:1.2",
+            "--resolution", "2", "--steps", "20", "--x0", X0]
+    assert run(argv, tmp_path) == cli.EXIT_OK
+    assert len(read_rows(tmp_path / "landscape.csv")) == 2
+    minima = json.loads((tmp_path / "minima.json").read_text())
+    assert (minima["count"], minima["locations"]) == (0, [])
+
+
 def test_x0_of_the_wrong_length_is_a_config_error(tmp_path, capsys):
     for argv in (["simulate", "--weights", REFERENCE, "--x0", "1,2"],
                  ["landscape", "--weights", REFERENCE, "--x0", "1,2"],
@@ -154,6 +163,12 @@ def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
     ["entropy", "--A", "diag:0.5", "--Lf", "0"],
     ["entropy", "--A", NOT_SQUARE],
     ["entropy", "--A", "diag:1,2", "--Sigma0", "diag:-1,1"],
+    ["bifurcate", "--weights", REFERENCE, "--points", "3", "--range", "1:nan"],
+    ["smoothness", "--Lg", "nan"],
+    ["train", "--epochs", "1", "--stop-at", "nan"],
+    ["entropy", "--A", "diag:"],
+    ["entropy", "--A", "diag:1,nan"],
+    ["train", "--epochs", "-1"],
 ])
 def test_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
     assert run(argv, tmp_path / "out") == cli.EXIT_CONFIG

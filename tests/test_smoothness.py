@@ -336,6 +336,12 @@ def test_census_monotone_ramp():
     assert local_minima_census(grid)["count"] == 0
 
 
+def test_census_of_two_points_has_no_interior_minimum():
+    grid = LandscapeGrid(axes_names=["true"], coords=[np.array([0.0, 1.0])],
+                         values=np.array([1.0, 0.0]), gradient_norms=None, divergent=[])
+    assert local_minima_census(grid) == {"count": 0, "locations": [], "coords": []}
+
+
 def test_census_requires_1d():
     grid = LandscapeGrid(axes_names=["a", "b"], coords=[np.arange(3), np.arange(3)],
                          values=np.zeros((3, 3)), gradient_norms=None, divergent=[])
