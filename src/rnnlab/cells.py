@@ -12,7 +12,7 @@ contract:
 
 One base, ``_Cell``, owns the constructor, the readout, ``with_params``,
 the file format, what the kinds share of the Jacobians, and the batched
-forward and backward passes.  A kind names its per-gate blocks once
+backward pass.  A kind names its per-gate blocks once
 (``_W``, ``_U``, ``_b``).  The LSTM's four gate blocks of each group,
 ``W_hi..W_ho`` say, lie back to back in theta as before, so it reads each
 group as one fused (4H, ...) matrix (``ParameterVector.get_stacked``) and
@@ -27,17 +27,18 @@ each kind forms A V from the gates of its step, never building A.
 B = dx'/dtheta comes row by row from the step adjoint (below) of the unit
 cotangents.
 
-The gradient route runs through one forward and one reverse loop, both
-in ``_Cell``.  A kind gives ``_advance``, the next state and what the
-adjoint of its step needs (the LSTM's gates, nothing for the vanilla
-cell), and ``_step_adjoint``, the transpose of its tangent step: from
-dL/dh' it gives dL/d pre of the gates and what the state carries back
-besides h (the LSTM's dL/dc).  The reverse loop adds the weight gradients
-at every step, summed over the sequences: one GEMM per weight group under
-a shared theta, one product per row under a stacked one.  The test suite
-checks the passes against forward sensitivity propagation and finite
-differences, the stacked rows against single points, and A and B
-against finite-difference Jacobians.
+The gradient route runs forward through :func:`~rnnlab.statespace.rollout`
+and back through one reverse loop in ``_Cell``.  A kind gives ``_advance``,
+the next state and what the adjoint of its step needs (the LSTM's gates,
+nothing for the vanilla cell), which ``rollout`` keeps, and
+``_step_adjoint``, the transpose of its tangent step: from dL/dh' it gives
+dL/d pre of the gates and what the state carries back besides h (the
+LSTM's dL/dc).  The reverse loop adds the weight gradients at every step,
+summed over the sequences: one GEMM per weight group under a shared theta,
+one product per row under a stacked one.  The test suite checks the passes
+against forward sensitivity propagation and finite differences, the
+stacked rows against single points, and A and B against finite-difference
+Jacobians.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class _Cell(DynamicalModel):
     through properties cached per instance (a cell is immutable).
 
     A kind gives ``_advance(x, z) -> (x', gates)``, from which ``step``,
-    ``forward_batch`` and its ``step_tangent`` take the step;
+    :func:`~rnnlab.statespace.rollout` and its ``step_tangent`` take the step;
     ``_step_adjoint(gates, x, x', dh', carry') -> (dpre, carry)``, from
     which ``backward_batch`` takes the reverse of the step and ``jacobians``
     takes B, as the adjoint of the N_x unit cotangents (A comes from
@@ -286,23 +287,11 @@ class _Cell(DynamicalModel):
         (several times faster than adding a temporary into it)."""
         np.einsum("rk,j->rkj", dpre, h, out=B.get_stacked(self._W))
 
-    # ---- batched forward and backward passes ----
+    # ---- the batched backward pass ----
 
-    def forward_batch(self, x0, Z):
-        """Outputs (T, *rows, N_y) from x0 (*rows, N_x) under inputs Z
-        (T, *rows, N_z), and the cache :meth:`backward_batch` reads: the
-        states (T, *rows, N_x), what ``_advance`` kept of each step, and Z.
-        """
-        xs = np.empty((len(Z),) + np.shape(x0))
-        xs[0] = x0
-        kept = []
-        for t in range(len(Z) - 1):
-            xs[t + 1], gates = self._advance(xs[t], Z[t])
-            kept.append(gates)
-        return self.output(xs, None), (xs, kept, Z)
-
-    def backward_batch(self, cache, dY):
-        """Gradient over theta of sum(dY * outputs), dY (T, *rows, N_y).
+    def backward_batch(self, run, dY):
+        """Gradient over theta of sum(dY * outputs), dY (T, *rows, N_y), from
+        the states, kept gates and inputs of the forward ``rollout``, ``run``.
 
         One reverse loop: at each step ``_step_adjoint`` turns dh = dL/dh'
         into dpre = dL/d pre, which adds dpre^T h, dpre^T z and dpre, summed
@@ -310,7 +299,7 @@ class _Cell(DynamicalModel):
         a stacked theta the products run per row and the gradient is
         (P, N_theta).
         """
-        xs, kept, Z = cache
+        xs, kept, Z = run.states, run.kept, run.inputs
         hs = self._hidden_of(xs)
         grad = ParameterVector(self.params.layout, np.zeros(self.params.values.shape))
         dH = dY  # dL/dh of each step through its own output

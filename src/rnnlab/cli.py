@@ -142,11 +142,10 @@ def _ranges(value):
 
 
 def _drops(value):
-    try:
-        return [(_int(e), _float(f)) for e, f in (
-            item.split(":") for item in _str(value).split(",") if item.strip())]
-    except ValueError:
-        raise ConfigError(f"expected epoch:factor,..., got {value!r}") from None
+    pairs = [item.split(":") for item in _str(value).split(",") if item.strip()]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ConfigError(f"expected epoch:factor,..., got {value!r}")
+    return [(_int(e), _positive(f)) for e, f in pairs]
 
 
 def _projection(value):

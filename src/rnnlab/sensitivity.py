@@ -1,9 +1,9 @@
 """Datasets, losses, the cost and its gradient.
 
 Gradients have one route, reverse accumulation (back-propagation through
-time): a batch of sequences runs forward through the model's
-``forward_batch``, and ``backward_batch`` carries dL/dx back from the last
-step,
+time): a batch of sequences runs forward through one
+:func:`~rnnlab.statespace.rollout`, and the model's ``backward_batch``
+carries dL/dx back from the last step,
 
     dtheta += B[t]^T dx + F[t]^T dy[t],   dx <- A[t]^T dx + C[t]^T dy[t],
 
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit as sigmoid
 
 from .errors import LengthMismatch, NonFiniteState
-from .statespace import simulate
+from .statespace import rollout, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -199,56 +199,62 @@ def _loss_weights(M, n_sequences):
 
 
 def cost_and_gradient_reverse(model, dataset, loss=SQUARED_ERROR):
-    """The cost and its gradient, through the model's ``forward_batch`` and
-    ``backward_batch`` once per group of equally shaped sequences.
+    """The cost and its gradient, from one :func:`~rnnlab.statespace.rollout`
+    and one ``backward_batch`` per group of equally shaped sequences.
 
     Each sequence keeps its weight in :func:`cost`.  Raises
-    :class:`NonFiniteState` when an output or the gradient is NaN/Inf.
+    :class:`NonFiniteState` with the step and quantity of the first
+    divergence, or when the gradient is NaN/Inf.
 
     A model stacking P points (``with_params`` of a (P, N_theta) matrix)
     runs all of them in the same two passes and returns their costs (P,),
     gradients (P, N_theta) and a mask (P,) of the rows that diverged: a
-    NaN/Inf output, cost or gradient.  It raises for none of them; their
-    gradients are NaN.  Each cost is :func:`cost` of its point alone, summed
-    the same way; each gradient is that of its point alone up to rounding.
+    NaN/Inf state, output, cost or gradient.  It raises for none of them;
+    their gradients are NaN.  Each cost is :func:`cost` of its point alone,
+    summed the same way; each gradient is that of its point up to rounding.
     """
     dataset = _as_dataset(dataset)
     if model.params.values.ndim == 2:
         return _stacked_cost_and_gradient(model, dataset, loss)
     value, grad = 0.0, np.zeros(model.n_params)
     for _, (Z, Y, M, X0) in _batches(dataset, model):
-        outputs, cache = model.forward_batch(X0, Z)     # (T, B, N_y)
-        if outputs.shape[-1] != Y.shape[-1]:
-            raise LengthMismatch(f"{outputs.shape[-1]} outputs, {Y.shape[-1]} targets")
-        if not np.all(np.isfinite(outputs)):
-            bad = np.argwhere(~np.isfinite(outputs))
-            raise NonFiniteState(int(bad[0][0]), "output")
+        run = rollout(model, X0, Z)                     # outputs (T, B, N_y)
+        if run.outputs.shape[-1] != Y.shape[-1]:
+            raise LengthMismatch(f"{run.outputs.shape[-1]} outputs, {Y.shape[-1]} targets")
+        if run.diverged.any():
+            raise run.error(np.argmin(np.where(run.diverged, run.diverged_at, len(Z))))
         w = _loss_weights(M, len(dataset))
-        value += float(np.sum(w * loss.value(outputs, Y)))
-        grad += model.backward_batch(cache, w[:, :, None] * loss.derivative(outputs, Y))
+        value += float(np.sum(w * loss.value(run.outputs, Y)))
+        grad += model.backward_batch(run, w[:, :, None] * loss.derivative(run.outputs, Y))
     if not np.all(np.isfinite(grad)):
         raise NonFiniteState(0, "gradient")
     return value, grad
 
 
-def _stacked_cost_and_gradient(model, dataset, loss):
-    """:func:`cost_and_gradient_reverse` of a stacked model, over (T, B, P, ...) arrays."""
+def _stacked_cost_and_gradient(model, dataset, loss, with_gradient=True):
+    """:func:`cost_and_gradient_reverse` of a stacked model, over (T, B, P, ...)
+    arrays; without ``with_gradient`` its forward half, with gradients None.
+    A group whose rows all diverged stopped early and is not run backward."""
     P = model.params.values.shape[0]
     costs = [None] * len(dataset)
-    grad = np.zeros((P, model.n_params))
+    grad = np.zeros((P, model.n_params)) if with_gradient else None
     diverged = np.zeros(P, dtype=bool)
     with np.errstate(all="ignore"):  # a row that overflows must not stop the others
         for ks, (Z, Y, M, X0) in _batches(dataset, model):
             X0 = np.broadcast_to(X0[:, None], (len(ks), P, model.state_dim))
-            outputs, cache = model.forward_batch(X0, Z[:, :, None])
+            run = rollout(model, X0, Z[:, :, None], keep_states=with_gradient)
             for b, k in enumerate(ks):
-                costs[k] = sequence_costs(outputs[:, b], dataset[k], loss)
-            diverged |= ~np.isfinite(outputs).all(axis=(0, 1, 3))
-            w = _loss_weights(M, len(dataset))[:, :, None, None]
-            grad += model.backward_batch(cache, w * loss.derivative(outputs, Y[:, :, None]))
+                costs[k] = sequence_costs(run.outputs[:, b], dataset[k], loss)
+            diverged |= run.diverged.any(axis=0)
+            if with_gradient and not run.diverged.all():
+                w = _loss_weights(M, len(dataset))[:, :, None, None]
+                grad += model.backward_batch(
+                    run, w * loss.derivative(run.outputs, Y[:, :, None]))
         values = mean_over_sequences(costs)
-    diverged |= ~np.isfinite(values) | ~np.isfinite(grad).all(axis=1)
-    grad[diverged] = np.nan
+    diverged |= ~np.isfinite(values)
+    if with_gradient:
+        diverged |= ~np.isfinite(grad).all(axis=1)
+        grad[diverged] = np.nan
     return values, grad, diverged
 
 

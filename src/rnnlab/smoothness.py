@@ -21,15 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergentCost, NonFiniteState
-from .sensitivity import (
-    SQUARED_ERROR,
-    _as_dataset,
-    cost,
-    cost_and_gradient_reverse,
-    mean_over_sequences,
-    sequence_costs,
-)
-from .statespace import rollout
+from .sensitivity import SQUARED_ERROR, _as_dataset, _stacked_cost_and_gradient, cost
 
 # ---------------------------------------------------------------------------
 # closed-form bound calculators
@@ -213,23 +205,6 @@ def checked_cost(model, dataset, loss=SQUARED_ERROR) -> float:
     return v
 
 
-def _stacked_costs(model, P, dataset, loss):
-    """Costs of a model stacking P points, and where they diverged.
-
-    One :func:`~rnnlab.statespace.rollout` per sequence steps all points
-    together; each cost equals :func:`cost` of its point alone, and the
-    mask applies the rule of :func:`checked_cost`.
-    """
-    per_seq, diverged = [], np.zeros(P, dtype=bool)
-    for seq in _as_dataset(dataset):
-        x0 = np.broadcast_to(seq.start_state(model), (P, model.state_dim))
-        run = rollout(model, x0, seq.inputs, keep_states=False)
-        per_seq.append(sequence_costs(run.outputs, seq, loss))
-        diverged |= run.diverged
-    v = mean_over_sequences(per_seq)
-    return v, diverged | divergent_costs(v)
-
-
 # ---------------------------------------------------------------------------
 # empirical Lipschitz estimation
 # ---------------------------------------------------------------------------
@@ -257,9 +232,8 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
     defined by :func:`checked_cost`, or a non-finite gradient) are skipped
     and counted in ``n_divergent``.  ``model_family`` is called once, with
     the (2 n_pairs, N_theta) matrix of every pair's two points, and returns
-    the model stacking them; one pass over the stack gives every cost, and
-    with ``with_gradient`` one :func:`cost_and_gradient_reverse` pass gives
-    the costs and the gradients.
+    the model stacking them; one forward pass over the stack gives every
+    cost, and with ``with_gradient`` one reverse pass gives the gradients.
     """
     if n_pairs < 10:
         raise ValueError("n_pairs must be >= 10")
@@ -278,10 +252,8 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
             b[k] = a[k] + scale * rng.standard_normal(lo.size)
 
     model = model_family(np.concatenate([a, b]))
-    if with_gradient:
-        v, g, divergent = cost_and_gradient_reverse(model, dataset, loss)
-    else:
-        v, divergent = _stacked_costs(model, 2 * n, dataset, loss)
+    v, g, divergent = _stacked_cost_and_gradient(model, _as_dataset(dataset), loss,
+                                                 with_gradient)
     divergent |= divergent_costs(v)
     dist = np.linalg.norm(a - b, axis=1)
     drawn = dist > 0.0
@@ -363,12 +335,11 @@ def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
     ``axes`` is a list of 1 or 2 (name, direction-vector) pairs; ranges
     and resolution apply per axis.  ``model_family`` is called with a
     (P, N_theta) matrix of grid points and returns the model stacking
-    them; the costs of all P come from one pass over the stack.  A grid
-    larger than :data:`STACKED_FLOATS` allows is cut into blocks of rows,
-    one call each; every grid of the paper's figures is one block.  With
-    ``with_gradient``, one :func:`cost_and_gradient_reverse` pass over the
-    stack gives the costs and the gradients of a block; a point whose
-    gradient is not finite is divergent too.
+    them; the costs of all P come from one forward pass over the stack.  A
+    grid larger than :data:`STACKED_FLOATS` allows is cut into blocks of
+    rows, one call each; every grid of the paper's figures is one block.
+    With ``with_gradient``, one reverse pass gives a block's gradients too;
+    a point whose gradient is not finite is divergent too.
     """
     if not 1 <= len(axes) <= 2:
         raise ValueError("need 1 or 2 axes")
@@ -394,13 +365,11 @@ def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
         thetas = grids[0][rows] * dirs[0]
         if len(axes) == 2:
             thetas = thetas + grids[1][rows] * dirs[1]
-        model = model_family(thetas)
+        values[rows], g, divergent[rows] = _stacked_cost_and_gradient(
+            model_family(thetas), dataset, loss, with_gradient)
         if with_gradient:
-            v, g, divergent[rows] = cost_and_gradient_reverse(model, dataset, loss)
-            values[rows], gnorms[rows] = v, np.linalg.norm(g, axis=1)
-            divergent[rows] |= divergent_costs(v)
-        else:
-            values[rows], divergent[rows] = _stacked_costs(model, len(thetas), dataset, loss)
+            gnorms[rows] = np.linalg.norm(g, axis=1)
+    divergent |= divergent_costs(values)
     values[divergent] = np.nan
     if with_gradient:
         gnorms[divergent] = np.nan

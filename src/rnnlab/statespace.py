@@ -8,18 +8,19 @@ A model is the pair of maps
 with analytic Jacobians A = df/dx, B = df/dtheta, C = dg/dx, F = dg/dtheta.
 Everything downstream (simulation, fixed points, Lyapunov exponents,
 gradients, bifurcation diagrams, smoothness estimates) is built on this
-contract: a model implements step/output/jacobians.  Three defaults build
-on those.  ``step_tangent`` returns the step and the product A V of the
+contract: a model implements step/output/jacobians, and defaults build on
+those.  ``step_tangent`` returns the step and the product A V of the
 state Jacobian with a block of tangent vectors, from ``jacobians``.
-``forward_batch`` is one :func:`rollout` over per-row inputs, with the
-:class:`Rollout` as its cache, and ``backward_batch`` accumulates in reverse
-from ``jacobians``, one row at a time; for a model stacking P points, one
-point at a time, on the point's ``with_params`` model.  The package's cells
-derive no Jacobian by hand: each kind implements its step as ``_advance``,
-its transpose ``_step_adjoint`` and its tangent ``step_tangent`` (A V from
-the step's own gates, without building A), and ``cells._Cell`` takes
-``jacobians`` and one loop over the step and one over its adjoint from
-them.  These defaults serve every other model.
+``_advance`` is the step and what a reverse pass keeps of it (nothing).
+``backward_batch`` accumulates in reverse from ``jacobians`` over the
+:class:`Rollout` of the forward pass, one row at a time; for a model
+stacking P points, one point at a time, on the point's ``with_params``
+model.  :func:`rollout` is the one forward loop: simulation, sweeps, the
+Lyapunov burn-in and the gradient route all step through it.  The
+package's cells derive no Jacobian by hand: each kind implements its step
+as ``_advance``, its transpose ``_step_adjoint`` and its tangent
+``step_tangent`` (A V from the step's own gates, without building A), and
+``cells._Cell`` takes ``jacobians`` and the reverse loop from them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ class DynamicalModel:
 
     Subclasses set ``state_dim``, ``input_dim``, ``output_dim`` and
     ``params`` (a :class:`ParameterVector`) and implement ``step``,
-    ``output`` and ``jacobians``.  Models are immutable after
+    ``output`` and ``jacobians``; :func:`rollout` steps a model through
+    ``_advance``, which a model overrides to keep what its
+    ``backward_batch`` reads of each step.  Models are immutable after
     construction; parameter updates go through :meth:`with_params`,
     which returns a new model.
 
@@ -70,6 +73,10 @@ class DynamicalModel:
         """Return (A, B, C, F) evaluated at (x, z, self.params)."""
         raise NotImplementedError
 
+    def _advance(self, x, z):
+        """The next state, and what a reverse pass keeps of the step: nothing."""
+        return self.step(x, z), None
+
     def step_tangent(self, x, z, V):
         """``(step(x, z), A @ V)``: the next state, and the k tangent columns
         of V (..., N_x, k) carried through the step.  This default builds A
@@ -82,33 +89,27 @@ class DynamicalModel:
         """New model of the same kind with a replacement flat theta."""
         raise NotImplementedError
 
-    def forward_batch(self, x0, Z):
-        """Outputs (T, B, N_y) of B sequences from x0 (B, N_x) under inputs
-        Z (T, B, N_z), and the cache :meth:`backward_batch` reads."""
-        run = rollout(self, x0, Z)
-        return run.outputs, run
-
-    def backward_batch(self, cache, dY):
-        """Gradient over theta of sum(dY * outputs), dY (T, B, N_y), in reverse:
+    def backward_batch(self, run, dY):
+        """Gradient over theta of sum(dY * outputs), dY (T, B, N_y), in reverse
+        over the :class:`Rollout` ``run`` of the forward pass:
         with dx = dL/dx[t+1], dtheta += B^T dx + F^T dy, then dx <- A^T dx + C^T dy.
 
         A model stacking P points runs (T, B, P, ...) arrays and returns one
         gradient per point, (P, N_theta): each from the point's own
-        ``with_params`` model, on its slice of the cache.
+        ``with_params`` model, on its slice of the run.
         """
         if self.params.values.ndim == 2:
-            inputs = np.broadcast_to(cache.inputs,
-                                     cache.states.shape[:-1] + (self.input_dim,))
+            inputs = np.broadcast_to(run.inputs, run.states.shape[:-1] + (self.input_dim,))
             return np.array([
                 self.with_params(theta).backward_batch(
-                    replace(cache, states=cache.states[:, :, p], inputs=inputs[:, :, p]),
+                    replace(run, states=run.states[:, :, p], inputs=inputs[:, :, p]),
                     dY[:, :, p])
                 for p, theta in enumerate(self.params.values)])
         grad = np.zeros(self.n_params)
         for b in range(dY.shape[1]):
             dx = np.zeros(self.state_dim)
             for t in range(len(dY) - 1, -1, -1):
-                A, B, C, F = self.jacobians(cache.states[t, b], cache.inputs[t, b])
+                A, B, C, F = self.jacobians(run.states[t, b], run.inputs[t, b])
                 grad += B.T @ dx + F.T @ dY[t, b]
                 dx = A.T @ dx + C.T @ dY[t, b]
         return grad
@@ -207,7 +208,10 @@ class Rollout:
     which row i held a NaN/Inf and ``diverged_what[i]`` the quantity
     ("state", "output" or "input"); -1 and "" for a row that stayed
     finite.  Entries of a row from its divergence on are unspecified.
-    ``states`` is None when the rollout was asked not to keep them.
+    ``kept`` lists, per step taken, what the model's ``_advance`` returned
+    beside the next state (an LSTM's gates, or None): n - 1 entries, fewer
+    when the loop stopped early.  ``states`` and ``kept`` are None when the
+    rollout was asked not to keep states.
     """
 
     states: np.ndarray | None
@@ -215,6 +219,7 @@ class Rollout:
     inputs: np.ndarray
     diverged_at: np.ndarray
     diverged_what: np.ndarray
+    kept: list | None
 
     @property
     def diverged(self):
@@ -241,8 +246,8 @@ def rollout(model: DynamicalModel, x0, inputs, horizon=None, feedback=None,
     fed-back input holds a NaN/Inf, and the loop stops once every row has.
     Floating-point warnings are silenced inside: the check reports every
     non-finite value with its step, and one row's overflow must not stop
-    the others.  ``keep_states=False`` records outputs only, for callers
-    that need nothing else.
+    the others.  The step is the model's ``_advance``; ``keep_states=False``
+    records outputs only, for callers that need nothing else.
     """
     x = np.asarray(x0, dtype=float)
     rows = x.shape[:-1]
@@ -259,6 +264,7 @@ def rollout(model: DynamicalModel, x0, inputs, horizon=None, feedback=None,
     if n < 1:
         raise ValueError("need at least one step")
     states = np.full((n,) + x.shape, np.nan) if keep_states else None
+    kept = [] if keep_states else None
     outputs = np.full((n,) + rows + (model.output_dim,), np.nan)
     diverged_at = np.full(rows, -1)
     diverged_what = np.full(rows, "", dtype=object)
@@ -286,14 +292,16 @@ def rollout(model: DynamicalModel, x0, inputs, horizon=None, feedback=None,
                 break
             if t + 1 == n:
                 break
-            x = model.step(x, z)
+            x, step_kept = model._advance(x, z)
+            if keep_states:
+                kept.append(step_kept)
             if not np.isfinite(x).all() and not any_alive(x, t + 1, "state"):
                 break
             if z_shape is not None:
                 z = np.asarray(feedback(y), dtype=float).reshape(z_shape)
                 if not np.isfinite(z).all() and not any_alive(z, t + 1, "input"):
                     break
-    return Rollout(states, outputs, inputs, diverged_at, diverged_what)
+    return Rollout(states, outputs, inputs, diverged_at, diverged_what, kept)
 
 
 def simulate(model: DynamicalModel, x0, inputs) -> Trajectory:
@@ -493,17 +501,13 @@ def lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
     Carries one tangent direction through the step with ``step_tangent``,
     which forms A_t v without building A_t, and re-normalizes it at every
     step (the one-column case of a QR re-orthonormalization); the average
-    log stretch over the horizon is the exponent.  Burn-in steps run first
-    and are discarded.
+    log stretch over the horizon is the exponent.  Burn-in steps run first,
+    as one :func:`rollout`, and are discarded.
     """
     if horizon < MIN_LYAPUNOV_HORIZON:
         raise ValueError(f"horizon must be >= {MIN_LYAPUNOV_HORIZON}")
     u = np.asarray(u_const, dtype=float).reshape(model.input_dim)
-    x = np.asarray(x0, dtype=float).copy()
-    for t in range(int(burn_in)):
-        x = model.step(x, u)
-        if not np.isfinite(x).all():
-            raise NonFiniteState(t + 1)
+    x = _trajectory(rollout(model, x0, np.tile(u, (int(burn_in) + 1, 1)))).states[-1]
 
     v = np.full((model.state_dim, 1), 1.0 / np.sqrt(model.state_dim))
     log_sum = 0.0

@@ -169,6 +169,8 @@ def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
     ["entropy", "--A", "diag:"],
     ["entropy", "--A", "diag:1,nan"],
     ["train", "--epochs", "-1"],
+    ["train", "--lr-drops", "5:nan"],
+    ["train", "--lr-drops", "5:0"],
 ])
 def test_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
     assert run(argv, tmp_path / "out") == cli.EXIT_CONFIG

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -334,23 +336,28 @@ def test_sequences_of_different_lengths_give_the_oracle_gradient(model):
 
 
 def test_gradient_is_one_batched_pass_without_jacobians(monkeypatch):
+    from rnnlab import sensitivity
     from rnnlab.cells import LstmCell
 
-    calls = {"forward_batch": 0, "jacobians": 0}
-    for name in calls:
-        original = getattr(LstmCell, name)
+    calls = {"rollout": 0, "jacobians": 0}
+    rollout, jacobians = sensitivity.rollout, LstmCell.jacobians
 
-        def counted(self, *args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, *args)
+    def counted_rollout(*args, **kwargs):
+        calls["rollout"] += 1
+        return rollout(*args, **kwargs)
 
-        monkeypatch.setattr(LstmCell, name, counted)
+    def counted_jacobians(self, *args):
+        calls["jacobians"] += 1
+        return jacobians(self, *args)
+
+    monkeypatch.setattr(sensitivity, "rollout", counted_rollout)
+    monkeypatch.setattr(LstmCell, "jacobians", counted_jacobians)
     rng = np.random.default_rng(13)
     cell = make_cell("lstm", 4, n_input=2, init_seed=1)
     seqs = [Sequence(rng.standard_normal((20, 2)), rng.standard_normal(20))
             for _ in range(3)]
     gradient(cell, seqs)
-    assert calls == {"forward_batch": 1, "jacobians": 0}
+    assert calls == {"rollout": 1, "jacobians": 0}
 
 
 def test_gradient_fd_agreement_on_contractive_driven_system():
@@ -473,3 +480,41 @@ def test_stacked_pass_gives_no_gradient_for_a_divergent_cost():
     assert list(diverged) == [False, True] and np.isinf(values[1])
     assert np.isnan(grads[1]).all()
     assert grads[0] == gradient(DrivenScalar(0.5, a=1.0), seqs)
+
+
+def _overflowing_vanilla():
+    """A 3-unit vanilla cell at theta = 1e308 and two sequences of inputs +-1e308.
+
+    Under +1e308 the pre-activation is +inf and h' = 1; the first -1e308 that
+    follows gives inf - inf, a NaN state one step later: at step 4 in the
+    first sequence and at step 2 in the second.
+    """
+    cell = make_cell("vanilla", 3, n_input=1, bias=True, readout="identity")
+    signs = [[1, 1, 1, -1, 1, -1], [1, -1, 1, -1, 1, -1]]
+    seqs = [Sequence(1e308 * np.array(s, dtype=float)[:, None], np.zeros((6, 3)))
+            for s in signs]
+    return cell, np.full(cell.n_params, 1e308), seqs
+
+
+def test_shared_pass_reports_the_first_divergence_rollout_recorded():
+    from rnnlab.statespace import rollout
+
+    cell, theta, seqs = _overflowing_vanilla()
+    model = cell.with_params(theta)
+    run = rollout(model, np.zeros((2, 3)), np.stack([s.inputs for s in seqs], axis=1))
+    assert run.diverged_at.tolist() == [4, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteState) as err:
+            cost_and_gradient_reverse(model, seqs)
+    assert (err.value.step, err.value.what) == (2, run.diverged_what[1]) == (2, "state")
+
+
+def test_stacked_pass_in_which_every_row_diverges_gives_nan_gradients():
+    # the rollout stops once every row has diverged, before the gates of the
+    # later steps exist: the pass must not run backward over them
+    cell, theta, seqs = _overflowing_vanilla()
+    values, grads, diverged = cost_and_gradient_reverse(
+        cell.with_params(np.stack([theta, theta])), seqs)
+    assert diverged.tolist() == [True, True]
+    assert grads.shape == (2, cell.n_params) and np.isnan(grads).all()

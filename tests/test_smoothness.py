@@ -198,20 +198,20 @@ def test_empirical_quadratic_gradient_lipschitz():
 
 def test_empirical_gradient_takes_one_forward_pass_for_all_points(monkeypatch):
     from rnnlab import sensitivity
-    from rnnlab.cells import LstmCell, make_cell
+    from rnnlab.cells import make_cell
 
-    calls = {"forward_batch": 0, "simulate": 0}
-    forward_batch, simulate = LstmCell.forward_batch, sensitivity.simulate
+    calls = {"rollout": 0, "simulate": 0}
+    rollout, simulate = sensitivity.rollout, sensitivity.simulate
 
-    def counted_forward(self, x0, Z):
-        calls["forward_batch"] += 1
-        return forward_batch(self, x0, Z)
+    def counted_rollout(*args, **kwargs):
+        calls["rollout"] += 1
+        return rollout(*args, **kwargs)
 
     def counted_simulate(*args):
         calls["simulate"] += 1
         return simulate(*args)
 
-    monkeypatch.setattr(LstmCell, "forward_batch", counted_forward)
+    monkeypatch.setattr(sensitivity, "rollout", counted_rollout)
     monkeypatch.setattr(sensitivity, "simulate", counted_simulate)
     cell = make_cell("lstm", 3, n_input=1, init_seed=0)
     rng = np.random.default_rng(0)
@@ -220,7 +220,7 @@ def test_empirical_gradient_takes_one_forward_pass_for_all_points(monkeypatch):
     est = empirical_lipschitz_V(cell.with_params, ds, theta_low=theta - 0.1,
                                 theta_high=theta + 0.1, n_pairs=10, rng_seed=0)
     assert est.n_pairs_used == 10
-    assert calls == {"forward_batch": 1, "simulate": 0}
+    assert calls == {"rollout": 1, "simulate": 0}
 
 
 def _sine_lstm_case(seed):
@@ -456,34 +456,33 @@ def _reference_ray(steps=200):
 
 def test_landscape_gradients_take_one_pass_per_block(monkeypatch):
     from rnnlab import sensitivity
-    from rnnlab.cells import LstmCell
 
     cell, ds = _reference_ray(40)
-    calls = {"family": 0, "forward_batch": 0, "gradient": 0}
-    forward_batch, gradient_ = LstmCell.forward_batch, sensitivity.gradient
+    calls = {"family": 0, "rollout": 0, "gradient": 0}
+    rollout, gradient_ = sensitivity.rollout, sensitivity.gradient
 
     def family(thetas):
         calls["family"] += 1
         return cell.with_params(thetas)
 
-    def counted_forward(self, x0, Z):
-        calls["forward_batch"] += 1
-        return forward_batch(self, x0, Z)
+    def counted_rollout(*args, **kwargs):
+        calls["rollout"] += 1
+        return rollout(*args, **kwargs)
 
     def counted_gradient(*args):
         calls["gradient"] += 1
         return gradient_(*args)
 
-    monkeypatch.setattr(LstmCell, "forward_batch", counted_forward)
+    monkeypatch.setattr(sensitivity, "rollout", counted_rollout)
     monkeypatch.setattr(sensitivity, "gradient", counted_gradient)
     kwargs = dict(axes=[("true", cell.params.values)], ranges=[(0.0, 1.6)],
                   resolution=21, with_gradient=True)
     whole = landscape_sweep(family, ds, SQUARED_ERROR, **kwargs)
-    assert calls == {"family": 1, "forward_batch": 1, "gradient": 0}
+    assert calls == {"family": 1, "rollout": 1, "gradient": 0}
     # 16 + 40 * (1 + 16 + 32) floats per point: 8 points per block
     monkeypatch.setattr(smoothness, "STACKED_FLOATS", 8 * (16 + 40 * 49))
     blocks = landscape_sweep(family, ds, SQUARED_ERROR, **kwargs)
-    assert calls == {"family": 4, "forward_batch": 4, "gradient": 0}
+    assert calls == {"family": 4, "rollout": 4, "gradient": 0}
     assert rel_err(blocks.gradient_norms, whole.gradient_norms) < 1e-13
     assert np.array_equal(blocks.values, whole.values)
 
