@@ -79,7 +79,6 @@ from .training import (
     TrainConfig,
     TrainRun,
     clip_global_norm,
-    load_run,
     save_run,
     snapshot_epochs,
     train,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularMatrix, TooFewSamples
+from .jsontext import write_csv
 from .statespace import argmax_onehot_feedback, rollout
 
 # ---------------------------------------------------------------------------
@@ -37,12 +38,8 @@ class Projection:
         return np.asarray(self.fn(state, output), dtype=float)
 
 
-def make_projection(spec, direction=None) -> Projection:
-    """Built-in projections: ``output:<i>``, ``state_mean``, ``state_dot``.
-
-    ``state_dot`` projects onto an explicit direction vector (normalized
-    dot product is not applied; it is a plain inner product).
-    """
+def make_projection(spec) -> Projection:
+    """Built-in projections: ``output:<i>`` and ``state_mean``."""
     if isinstance(spec, Projection):
         return spec
     if spec == "state_mean":
@@ -50,11 +47,6 @@ def make_projection(spec, direction=None) -> Projection:
     if spec.startswith("output"):
         idx = int(spec.split(":", 1)[1]) if ":" in spec else 0
         return Projection(f"output:{idx}", lambda x, y: y[..., idx])
-    if spec == "state_dot":
-        if direction is None:
-            raise ValueError("state_dot projection needs a direction vector")
-        d = np.asarray(direction, dtype=float)
-        return Projection("state_dot", lambda x, y: x @ d)
     raise ValueError(f"unknown projection {spec!r}")
 
 
@@ -81,20 +73,15 @@ class BifurcationDiagram:
     config: dict
 
     def to_csv(self, path, meta=None):
-        lines = []
-        if meta:
-            for k, v in meta.items():
-                lines.append(f"# {k}={v}")
-        lines.append("sweep,p,dp")
+        rows = []
         for s in self.samples:
-            if s.diverged:
-                lines.append(f"{s.sweep_value!r},diverged,diverged")
-                continue
             sweep = repr(float(s.sweep_value))
-            for p, dp in zip(s.p, s.dp):
-                lines.append(f"{sweep},{float(p)!r},{float(dp)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            if s.diverged:
+                rows.append(f"{sweep},diverged,diverged")
+            else:
+                rows += [f"{sweep},{p!r},{dp!r}"
+                         for p, dp in zip(s.p.tolist(), s.dp.tolist())]
+        write_csv(path, meta, "sweep,p,dp", rows)
 
 
 def _steady_states(model, sweep, u, x0, burn_in, record, projection, feedback=None):

@@ -11,9 +11,10 @@ asking for the same run give the same outputs and the same spec hash.
 Exit codes: 0 ok, 2 config error, 3 numerical divergence, 4 I/O error.
 Every output file embeds the resolved-config hash, the seed and the
 package version, so re-running a command reproduces its outputs byte for
-byte.  JSON files hold the bytes ``json.dump(doc, indent=1)`` would write,
-with each number formatted once (:mod:`rnnlab.jsontext`); tests check them
-against that streamed writer.
+byte.  Every artefact (CSV tables, JSON documents, SVG plots) is written by
+:mod:`rnnlab.jsontext`, with each number formatted once; a JSON file holds
+the bytes ``json.dump(doc, indent=1)`` would write, and tests check each
+file against a streamed or element-by-element writer.
 """
 
 from __future__ import annotations
@@ -256,6 +257,11 @@ def _meta(resolved, seed):
     }
 
 
+def _svg_desc(meta):
+    """An SVG plot's description: ``spec_hash=... seed=... version=...``."""
+    return " ".join(f"{k}={v}" for k, v in meta.items())
+
+
 def _outdir(opts):
     os.makedirs(opts.out, exist_ok=True)
     return opts.out
@@ -430,8 +436,7 @@ def cmd_bifurcate(opts):
     svg_scatter(
         os.path.join(out, "bifurcation.svg"), xs, ys,
         title="steady-state samples", xlabel=diagram.config["sweep_kind"],
-        ylabel=diagram.config["projection"],
-        desc=f"spec_hash={meta['spec_hash']} seed={seed} version={__version__}",
+        ylabel=diagram.config["projection"], desc=_svg_desc(meta),
     )
     print(os.path.join(out, "bifurcation.csv"))
     return EXIT_OK
@@ -487,17 +492,16 @@ def cmd_landscape(opts):
     )
     out = _outdir(opts)
     grid.to_csv(os.path.join(out, "landscape.csv"), meta=meta)
-    desc_text = f"spec_hash={meta['spec_hash']} seed={seed} version={__version__}"
     if grid.ndim == 1:
         svg_line(os.path.join(out, "landscape.svg"), grid.coords[0], grid.values,
                  title="cost along parameter ray", xlabel="s1", ylabel="V",
-                 desc=desc_text)
+                 desc=_svg_desc(meta))
         census = local_minima_census(grid)
         _write_json(os.path.join(out, "minima.json"), {**meta, **census})
     else:
         svg_heatmap(os.path.join(out, "landscape.svg"), grid.values,
                     grid.coords[0], grid.coords[1], title="cost surface",
-                    xlabel="s1", ylabel="s2", desc=desc_text, log_scale=True)
+                    xlabel="s1", ylabel="s2", desc=_svg_desc(meta))
     print(os.path.join(out, "landscape.csv"))
     return EXIT_OK
 
@@ -560,7 +564,6 @@ def cmd_train(opts):
 
 
 _SMOOTHNESS = (
-    ("bounds", _switch, True, "closed-form bound report, the only mode"),
     ("Lf", _positive, 1.0, "Lipschitz constant of f in the state"),
     ("N", _at_least(1), 100, "horizon"),
     ("Lg", _float, 1.0, "Lipschitz constant of g"),
@@ -573,8 +576,6 @@ _SMOOTHNESS = (
 
 
 def cmd_smoothness(opts):
-    if not opts.bounds:
-        raise ConfigError("only --bounds mode is available from the CLI")
     c = SmoothnessConstants(
         L_f=opts.Lf, N=opts.N, L_g=opts.Lg, L_f_prime=opts.Lfp, L_g_prime=opts.Lgp,
         K1=opts.K1, K2=opts.K2, K3=opts.K3, K4=opts.K4, L_y=opts.Ly,

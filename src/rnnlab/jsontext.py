@@ -1,10 +1,20 @@
-"""JSON artefacts: the bytes of ``json.dumps(doc, indent=1)`` and a newline.
+"""Every artefact file the package writes: CSV, JSON and SVG, each in one write.
 
-A list of floats, or of such lists, becomes one string: the floats'
-``float.__repr__`` joined, laid out by ``str.replace`` and spelled as
-``json`` spells NaN and the infinities.  All else goes to ``json.dumps``,
-whose indenting encoder is pure Python.  ``float.__repr__``, not ``repr``:
-under numpy 2, ``repr`` of a numpy float scalar is ``np.float64(...)``.
+:func:`write_lines` is the one place a file is opened for writing.  A CSV
+artefact (:func:`write_csv`) is its ``# key=value`` lines, a header and one
+row per line; a JSON artefact (:func:`write_json`) holds the bytes of
+``json.dumps(doc, indent=1)`` and a newline; an SVG plot is its elements,
+one per line.  Floats are written as their shortest round-trip repr, and
+each is formatted once: a table that goes to both a CSV and a JSON file
+is formatted as :class:`FloatRows` and shared, since formatting, not
+writing, is what a large artefact costs.
+
+In a JSON document, a list of floats, or of such lists, becomes one
+string: the floats' ``float.__repr__`` joined, laid out by
+``str.replace`` and spelled as ``json`` spells NaN and the infinities.
+All else goes to ``json.dumps``, whose indenting encoder is pure Python.
+``float.__repr__``, not ``repr``: under numpy 2, ``repr`` of a numpy
+float scalar is ``np.float64(...)``.
 """
 
 import json
@@ -18,10 +28,20 @@ class FloatRows(list):
         return cls(",".join(map(float.__repr__, row)) for row in rows)
 
 
+def write_lines(path, lines):
+    """Write the lines, each ended by a newline, to ``path`` in one write."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_csv(path, meta, header, rows):
+    """Write ``# k=v`` for each item of ``meta``, the ``header``, then the rows."""
+    write_lines(path, [*(f"# {k}={v}" for k, v in (meta or {}).items()), header, *rows])
+
+
 def write_json(path, doc):
     """Write ``json.dumps(doc, indent=1) + "\\n"`` to ``path`` in one write."""
-    with open(path, "w") as fh:
-        fh.write(_encode(doc, "\n") + "\n")
+    write_lines(path, [_encode(doc, "\n")])
 
 
 def _encode(value, pad):

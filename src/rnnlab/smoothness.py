@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergentCost, NonFiniteState
+from .jsontext import FloatRows, write_csv
 from .sensitivity import SQUARED_ERROR, _as_dataset, _stacked_cost_and_gradient, cost
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,15 @@ def checked_cost(model, dataset, loss=SQUARED_ERROR) -> float:
 PAIR_SCALES = (1e-2, 1e-4, 1e-6)  # local perturbation scales, plus global pairs
 
 
+def _row_norms(d):
+    """``np.linalg.norm(d, axis=1)``, with the rows whose squares overflow taken by hypot."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d, axis=1)
+        far = np.isinf(norms)
+        norms[far] = np.hypot.reduce(d[far], axis=1)
+    return norms
+
+
 @dataclass
 class EmpiricalLipschitz:
     L_V_hat: float
@@ -227,7 +237,9 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
 
     Draws ``n_pairs`` pairs from the theta box: one quarter globally, the
     rest at fixed perturbation scales around box points (a pure global
-    max badly underestimates the local spikes near chaotic regions).
+    max badly underestimates the local spikes near chaotic regions).  The
+    scales (``PAIR_SCALES``) are absolute: a pair whose perturbation is lost
+    in rounding, its two points equal, is neither used nor counted.
     Deterministic for a given seed.  Pairs with a divergent evaluation (as
     defined by :func:`checked_cost`, or a non-finite gradient) are skipped
     and counted in ``n_divergent``.  ``model_family`` is called once, with
@@ -255,13 +267,13 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
     v, g, divergent = _stacked_cost_and_gradient(model, _as_dataset(dataset), loss,
                                                  with_gradient)
     divergent |= divergent_costs(v)
-    dist = np.linalg.norm(a - b, axis=1)
+    dist = _row_norms(a - b)
     drawn = dist > 0.0
     used = drawn & ~divergent[:n] & ~divergent[n:]
-    best_v = np.max(np.abs(v[:n] - v[n:])[used] / dist[used], initial=0.0)
+    best_v = np.max(np.abs(v[:n][used] - v[n:][used]) / dist[used], initial=0.0)
     best_g = 0.0
     if with_gradient:
-        best_g = np.max(np.linalg.norm(g[:n] - g[n:], axis=1)[used] / dist[used], initial=0.0)
+        best_g = np.max(_row_norms(g[:n][used] - g[n:][used]) / dist[used], initial=0.0)
     return EmpiricalLipschitz(
         L_V_hat=float(best_v), L_V_prime_hat=float(best_g), n_pairs_used=int(used.sum()),
         n_divergent=int((drawn & ~used).sum()),
@@ -302,30 +314,13 @@ class LandscapeGrid:
         return len(self.coords)
 
     def to_csv(self, path, meta=None):
-        lines = []
-        if meta:
-            for k, v in meta.items():
-                lines.append(f"# {k}={v}")
-        if self.ndim == 1:
-            header = "s1,V" + (",gradnorm" if self.gradient_norms is not None else "")
-            lines.append(header)
-            for i, s in enumerate(self.coords[0]):
-                row = [repr(float(s)), repr(float(self.values[i]))]
-                if self.gradient_norms is not None:
-                    row.append(repr(float(self.gradient_norms[i])))
-                lines.append(",".join(row))
-        else:
-            header = "s1,s2,V" + (",gradnorm" if self.gradient_norms is not None else "")
-            lines.append(header)
-            for i, s1 in enumerate(self.coords[0]):
-                for j, s2 in enumerate(self.coords[1]):
-                    row = [repr(float(s1)), repr(float(s2)),
-                           repr(float(self.values[i, j]))]
-                    if self.gradient_norms is not None:
-                        row.append(repr(float(self.gradient_norms[i, j])))
-                    lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        names = ["s1", "s2"][:self.ndim] + ["V"]
+        columns = [*np.meshgrid(*self.coords, indexing="ij"), self.values]
+        if self.gradient_norms is not None:
+            names.append("gradnorm")
+            columns.append(self.gradient_norms)
+        table = np.column_stack([c.ravel() for c in columns])
+        write_csv(path, meta, ",".join(names), FloatRows.of(table.tolist()))
 
 
 def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,

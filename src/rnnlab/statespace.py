@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyRegion, NonFiniteState
-from .jsontext import FloatRows, write_json
+from .jsontext import FloatRows, write_csv, write_json
 from .params import ParameterVector
 
 log = logging.getLogger(__name__)
@@ -159,13 +159,9 @@ class Trajectory:
         header = ",".join(
             ["t"] + [f"x{i}" for i in range(n_x)] + [f"y{i}" for i in range(n_y)]
         )
-        lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
-        lines.append(header)
         columns = [map(str, range(self.t0, self.t0 + len(self)))]
         columns += [rows for rows, width in ((states, n_x), (outputs, n_y)) if width]
-        lines.extend(map(",".join, zip(*columns)))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, meta, header, map(",".join, zip(*columns)))
 
     def to_json(self, path, model_name="model", theta_hash=None, seed=None, meta=None):
         """Write the trajectory document as ``json.dump(doc, indent=1)`` would."""

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .jsontext import write_lines
+
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 60, 20, 30, 45
 
@@ -61,18 +63,18 @@ def _axes_frame(x_lo, x_hi, y_lo, y_hi, title, xlabel, ylabel, desc):
     return parts, sx, sy
 
 
-def _finite_range(arr, fallback=(0.0, 1.0)):
+def _finite_range(arr):
     arr = np.asarray(arr, dtype=float).ravel()
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
-        return fallback
+        return 0.0, 1.0
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
 
 
-def svg_scatter(path, xs, ys, title="", xlabel="", ylabel="", desc="", radius=1.2):
+def svg_scatter(path, xs, ys, title="", xlabel="", ylabel="", desc=""):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = np.isfinite(xs) & np.isfinite(ys)
@@ -81,11 +83,9 @@ def svg_scatter(path, xs, ys, title="", xlabel="", ylabel="", desc="", radius=1.
     parts, sx, sy = _axes_frame(x_lo, x_hi, y_lo, y_hi, title, xlabel, ylabel, desc)
     for x, y in zip(xs[keep], ys[keep]):
         parts.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{radius}" fill="black"/>'
+            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1.2" fill="black"/>'
         )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts + ["</svg>"])
 
 
 def svg_line(path, xs, ys, title="", xlabel="", ylabel="", desc=""):
@@ -105,9 +105,7 @@ def svg_line(path, xs, ys, title="", xlabel="", ylabel="", desc=""):
             pts = []
     if pts:
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="black"/>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts + ["</svg>"])
 
 
 _STOPS = np.array(
@@ -134,13 +132,12 @@ def _color(frac):
     return "rgb(253,231,37)"
 
 
-def svg_heatmap(path, values, x_coords, y_coords, title="", xlabel="", ylabel="",
-                desc="", log_scale=False):
-    """values[i, j] at (x_coords[i], y_coords[j]); NaN cells are hatched grey."""
+def svg_heatmap(path, values, x_coords, y_coords, title="", xlabel="", ylabel="", desc=""):
+    """log10 values[i, j] at (x_coords[i], y_coords[j]); cells <= 0 or NaN are grey."""
     values = np.asarray(values, dtype=float)
     x = np.asarray(x_coords, dtype=float)
     y = np.asarray(y_coords, dtype=float)
-    plot = np.log10(np.where(values > 0, values, np.nan)) if log_scale else values
+    plot = np.log10(np.where(values > 0, values, np.nan))
     v_lo, v_hi = _finite_range(plot)
     parts, sx, sy = _axes_frame(
         float(x.min()), float(x.max()), float(y.min()), float(y.max()),
@@ -160,6 +157,4 @@ def svg_heatmap(path, values, x_coords, y_coords, title="", xlabel="", ylabel=""
                 f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
                 f'height="{ch + 0.5:.2f}" fill="{fill}"/>'
             )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts + ["</svg>"])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cells import StableLstmCell, cell_from_dict, cell_to_dict, project_stable
 from .errors import ConfigError, NonFiniteState
-from .jsontext import write_json
+from .jsontext import write_csv, write_json
 from .sensitivity import (
     SIGMOID_CROSS_ENTROPY,
     SQUARED_ERROR,
@@ -265,7 +265,6 @@ class TrainConfig:
 class TrainRun:
     history: list            # per epoch: dict(epoch, loss, metric, grad_norm, lr)
     snapshots: list          # [(epoch, flat theta values)]
-    final_params: np.ndarray
     config: TrainConfig
     cell_doc: dict
     task_meta: dict
@@ -348,7 +347,6 @@ def train(model, task: Task, config: TrainConfig):
     run = TrainRun(
         history=history,
         snapshots=snapshots,
-        final_params=model.params.values.copy(),
         config=config,
         cell_doc=cell_to_dict(model),
         task_meta=task.metadata() if hasattr(task, "metadata") else {"task": task.name},
@@ -367,16 +365,9 @@ def save_run(run: TrainRun, out_dir, extra_meta=None):
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
 
-    with open(os.path.join(out_dir, "history.csv"), "w") as fh:
-        if extra_meta:
-            for k, v in extra_meta.items():
-                fh.write(f"# {k}={v}\n")
-        fh.write("epoch,loss,metric,grad_norm,lr\n")
-        for row in run.history:
-            fh.write(
-                f"{row['epoch']},{row['loss']!r},{row['metric']!r},"
-                f"{row['grad_norm']!r},{row['lr']!r}\n"
-            )
+    fields = ("epoch", "loss", "metric", "grad_norm", "lr")
+    write_csv(os.path.join(out_dir, "history.csv"), extra_meta, ",".join(fields),
+              [",".join(repr(row[k]) for k in fields) for row in run.history])
 
     doc = {
         "format_version": 1,
@@ -410,21 +401,3 @@ def load_snapshots(run_dir):
     snapshots.sort(key=lambda p: p[0])
     return snapshots
 
-
-def load_run(run_dir):
-    """Read back (config doc, history rows, [(epoch, cell)] snapshots)."""
-    with open(os.path.join(run_dir, "config.json")) as fh:
-        config_doc = json.load(fh)
-    history = []
-    with open(os.path.join(run_dir, "history.csv")) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            vals = line.split(",")
-            history.append({k: float(v) for k, v in zip(header, vals)})
-    return config_doc, history, load_snapshots(run_dir)

@@ -6,8 +6,9 @@ central finite differences, of the Jacobians and of the cost.  So do the
 Lyapunov exponent from full state Jacobians, which the library forms as
 tangent products instead, the empirical Lipschitz estimate one point at a
 time, which the library takes from one stacked pass, and the
-element-by-element trajectory and streamed JSON writers, which also write
-the tests' cell files.
+element-by-element CSV writers (trajectory, landscape, bifurcation diagram
+and training history) and the streamed JSON writer, which also writes the
+tests' cell files.
 """
 
 import json
@@ -409,6 +410,65 @@ def trajectory_csv_by_element(traj, path, meta=None):
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def landscape_csv_by_element(grid, path, meta=None):
+    """``LandscapeGrid.to_csv`` written one grid point at a time."""
+    lines = []
+    if meta:
+        for k, v in meta.items():
+            lines.append(f"# {k}={v}")
+    if grid.ndim == 1:
+        header = "s1,V" + (",gradnorm" if grid.gradient_norms is not None else "")
+        lines.append(header)
+        for i, s in enumerate(grid.coords[0]):
+            row = [repr(float(s)), repr(float(grid.values[i]))]
+            if grid.gradient_norms is not None:
+                row.append(repr(float(grid.gradient_norms[i])))
+            lines.append(",".join(row))
+    else:
+        header = "s1,s2,V" + (",gradnorm" if grid.gradient_norms is not None else "")
+        lines.append(header)
+        for i, s1 in enumerate(grid.coords[0]):
+            for j, s2 in enumerate(grid.coords[1]):
+                row = [repr(float(s1)), repr(float(s2)), repr(float(grid.values[i, j]))]
+                if grid.gradient_norms is not None:
+                    row.append(repr(float(grid.gradient_norms[i, j])))
+                lines.append(",".join(row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def diagram_csv_by_element(diagram, path, meta=None):
+    """``BifurcationDiagram.to_csv`` written one sample at a time."""
+    lines = []
+    if meta:
+        for k, v in meta.items():
+            lines.append(f"# {k}={v}")
+    lines.append("sweep,p,dp")
+    for s in diagram.samples:
+        if s.diverged:
+            lines.append(f"{s.sweep_value!r},diverged,diverged")
+            continue
+        sweep = repr(float(s.sweep_value))
+        for p, dp in zip(s.p, s.dp):
+            lines.append(f"{sweep},{float(p)!r},{float(dp)!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def history_csv_by_element(run, path, extra_meta=None):
+    """The ``history.csv`` of ``save_run`` written one field at a time."""
+    with open(path, "w") as fh:
+        if extra_meta:
+            for k, v in extra_meta.items():
+                fh.write(f"# {k}={v}\n")
+        fh.write("epoch,loss,metric,grad_norm,lr\n")
+        for row in run.history:
+            fh.write(
+                f"{row['epoch']},{row['loss']!r},{row['metric']!r},"
+                f"{row['grad_norm']!r},{row['lr']!r}\n"
+            )
 
 
 def trajectory_json_streamed(traj, path, model_name="model", theta_hash=None, seed=None,

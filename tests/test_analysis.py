@@ -13,7 +13,7 @@ from rnnlab.cells import chaotic_reference_cell, make_cell
 from rnnlab.errors import NonFiniteState, SingularMatrix, TooFewSamples
 from rnnlab.statespace import argmax_onehot_feedback, simulate, simulate_closed_loop
 
-from helpers import FixedScalarLinear, LogisticMap
+from helpers import FixedScalarLinear, LogisticMap, diagram_csv_by_element
 
 X0_REF = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -28,8 +28,6 @@ def test_builtin_projections():
     y = np.array([-2.0, 5.0])
     assert make_projection("output:1")(x, y) == 5.0
     assert make_projection("state_mean")(x, y) == 2.0
-    p = make_projection("state_dot", direction=[0.5, 0.5])
-    assert p(x, y) == 2.0
     with pytest.raises(ValueError):
         make_projection("nope")
 
@@ -120,6 +118,21 @@ def test_divergent_sweep_value_is_marked_not_fatal():
     assert not diag.samples[0].diverged
     assert diag.samples[1].diverged
     assert diag.samples[1].diverged_step is not None
+
+
+def test_diagram_csv_is_the_file_of_the_sample_by_sample_writer(tmp_path):
+    def family(s):
+        return FixedScalarLinear(np.where(s > 0.5, 10.0, s))
+
+    with np.errstate(over="ignore"):
+        diag = bifurcation_sweep(family, [0.0, 1.0, 0.3], np.zeros(0),
+                                 np.array([1e300]), burn_in=5, record=5)
+    assert [s.diverged for s in diag.samples] == [False, True, False]
+    meta = {"spec_hash": "abc", "seed": 1}
+    diag.to_csv(tmp_path / "fast.csv", meta=meta)
+    diagram_csv_by_element(diag, tmp_path / "oracle.csv", meta=meta)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert "1.0,diverged,diverged" in (tmp_path / "fast.csv").read_text().split("\n")
 
 
 def _single_point_samples(model, x0, burn_in, record, u=None, feedback=None):

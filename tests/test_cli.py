@@ -81,6 +81,13 @@ def test_threads_are_gone(tmp_path):
     assert run(["bifurcate", "--config", str(config)], tmp_path) == cli.EXIT_CONFIG
 
 
+def test_the_bounds_switch_is_gone(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bounds": True}))
+    assert run(["smoothness", "--config", str(config)], tmp_path) == cli.EXIT_CONFIG
+    assert "unknown config keys: ['bounds']" in capsys.readouterr().err
+
+
 def test_landscape_and_bifurcate_rerun_byte_identical(tmp_path):
     commands = {
         "landscape": ["landscape", "--weights", REFERENCE, "--range", "0.8:1.2",
@@ -241,7 +248,7 @@ def tree(root):
      "--steps", "30", "--x0", X0, "--grad"],
     ["lyapunov", "--weights", REFERENCE, "--scale", "1", "--burn-in", "10",
      "--horizon", "100"],
-    ["smoothness", "--Lf", "1", "--N", "50", "--K1", "3", "--bounds"],
+    ["smoothness", "--Lf", "1", "--N", "50", "--K1", "3"],
     ["entropy", "--A", "diag:0.5,1.2", "--T", "5", "--Lf", "2"],
     ["train", "--task", "sine", "--cell", "lstm", "--hidden", "2", "--epochs", "2",
      "--clip-norm", "1", "--seed", "3"],
@@ -338,7 +345,7 @@ FLAGS = {
                  "resolution seed steps weights x0",
     "train": "batch-size cell clip-norm epochs hidden length lr lr-drops out seed "
              "snapshot-every stop-at target-norm task",
-    "smoothness": "K1 K2 K3 K4 Lf Lfp Lg Lgp Ly M-scale N bounds out seed",
+    "smoothness": "K1 K2 K3 K4 Lf Lfp Lg Lgp Ly M-scale N out seed",
     "entropy": "A Lf Sigma0 T out seed",
     "lyapunov": "burn-in cell hidden horizon input inputs out outputs readout scale seed "
                 "weights x0",

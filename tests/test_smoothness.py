@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from rnnlab import smoothness
 from rnnlab.errors import DivergentCost, NonFiniteState
 from rnnlab.sensitivity import SQUARED_ERROR, Sequence, gradient
 from rnnlab.smoothness import (
+    PAIR_SCALES,
     LandscapeGrid,
     SmoothnessConstants,
     bound_L_V,
@@ -18,7 +21,12 @@ from rnnlab.smoothness import (
     regime_of,
 )
 
-from helpers import DrivenScalar, empirical_lipschitz_V_per_point, rel_err
+from helpers import (
+    DrivenScalar,
+    empirical_lipschitz_V_per_point,
+    landscape_csv_by_element,
+    rel_err,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +265,49 @@ def _driven_case(a, n, with_gradient):
         "some-divergent", "some-divergent-cost-only"])
 def test_empirical_stacked_pass_matches_the_per_point_loop(case):
     family, ds, kwargs = case()
+    got = empirical_lipschitz_V(family, ds, **kwargs)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = empirical_lipschitz_V(family, ds, **kwargs)
         want = empirical_lipschitz_V_per_point(family, ds, **kwargs)
     assert (got.n_pairs_used, got.n_divergent) == (want.n_pairs_used, want.n_divergent)
     assert got.n_pairs_used + got.n_divergent == kwargs["n_pairs"]
     for name in ("L_V_hat", "L_V_prime_hat"):
         g, w = getattr(got, name), getattr(want, name)
         assert abs(g - w) <= 1e-10 * abs(w), name
+
+
+def test_pairs_of_a_huge_box_are_measured_without_float_warnings():
+    # the global pairs lie about 1e161 apart, so the sum of their squared
+    # differences overflows; the local perturbations are lost in rounding
+    from rnnlab.cells import make_cell
+
+    cell = make_cell("vanilla", 4, readout="identity", init_seed=0)   # outputs in [-1, 1]
+    ds = [Sequence(np.zeros((10, 0)), np.full((10, 4), 0.3), x0=np.full(4, 0.5))]
+    box = np.full(cell.n_params, 1e160)
+    rng = np.random.default_rng(1)
+    want = 0.0
+    for k in range(12):
+        a = rng.uniform(-box, box)
+        if k % 4:
+            assert np.array_equal(a + PAIR_SCALES[k % 4 - 1] * rng.standard_normal(a.size), a)
+            continue
+        b = rng.uniform(-box, box)
+        va, vb = (checked_cost(cell.with_params(t), ds, SQUARED_ERROR) for t in (a, b))
+        want = max(want, abs(va - vb) / math.dist(a, b))
+    assert want > 0.0
+    for with_gradient in (False, True):
+        est = empirical_lipschitz_V(cell.with_params, ds, theta_low=-box, theta_high=box,
+                                    n_pairs=12, rng_seed=1, with_gradient=with_gradient)
+        assert (est.n_pairs_used, est.n_divergent) == (3, 0)
+        assert est.L_V_hat == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert est.L_V_prime_hat == 0.0   # every tanh saturates
+    # a linear readout's outputs reach 1e160: the global pairs' costs diverge
+    cell = make_cell("vanilla", 4, readout="linear", n_output=1, init_seed=0)
+    ds = [Sequence(np.zeros((10, 0)), np.full((10, 1), 0.3), x0=np.full(4, 0.5))]
+    box = np.full(cell.n_params, 1e160)
+    for with_gradient in (False, True):
+        est = empirical_lipschitz_V(cell.with_params, ds, theta_low=-box, theta_high=box,
+                                    n_pairs=12, rng_seed=1, with_gradient=with_gradient)
+        assert (est.n_pairs_used, est.n_divergent, est.L_V_hat) == (0, 3, 0.0)
 
 
 def test_empirical_contractive_plateau_in_horizon():
@@ -537,6 +580,39 @@ def test_grid_csv_export(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[1] == "s1,V"
     assert len(lines) == 2 + 5
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("grid", [
+    LandscapeGrid(["true"], [np.linspace(0.0, 1.6, 6)],
+                  np.array([0.1, NAN, 1e-300, -0.0, 2.0 / 3.0, 1e300]),
+                  np.array([0.5, NAN, 5e-324, 0.0, INF, 7.25]), [1]),
+    LandscapeGrid(["true"], [np.array([-1.5, 0.25])], np.array([3.0, 1e-17]), None, []),
+    LandscapeGrid(["true", "random"], [np.linspace(-1.0, 1.0, 4), np.array([0.1, 0.2, 0.3])],
+                  np.arange(12.0).reshape(4, 3) / 7, None, []),
+    LandscapeGrid(["true", "random"], [np.array([0.0, 1.0]), np.array([-0.5, 0.5])],
+                  np.array([[0.1, NAN], [2.5, -0.0]]), np.array([[1e-9, NAN], [3.0, 0.0]]),
+                  [(0, 1)]),
+], ids=["1d-gradnorm-nan", "1d", "2d", "2d-gradnorm-nan"])
+def test_grid_csv_is_the_file_of_the_point_by_point_writer(grid, tmp_path):
+    meta = {"spec_hash": "abc", "seed": 3}
+    grid.to_csv(tmp_path / "fast.csv", meta=meta)
+    landscape_csv_by_element(grid, tmp_path / "oracle.csv", meta=meta)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_swept_2d_grid_csv_is_the_file_of_the_point_by_point_writer(tmp_path):
+    ds = [Sequence(np.ones((5, 1)), np.zeros(5), x0=np.array([0.0]))]
+    grid = landscape_sweep(lambda th: DrivenScalar(th, a=0.5), ds, SQUARED_ERROR,
+                           axes=[("true", np.array([1.0])), ("random", np.array([-0.3]))],
+                           ranges=[(0.0, 1.0), (-2.0, 2.0)], resolution=[5, 4],
+                           with_gradient=True)
+    grid.to_csv(tmp_path / "fast.csv")
+    landscape_csv_by_element(grid, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert len((tmp_path / "fast.csv").read_text().split("\n")) == 1 + 5 * 4 + 1
 
 
 # ---------------------------------------------------------------------------

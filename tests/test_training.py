@@ -1,9 +1,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from rnnlab.cells import make_cell, spectral_norm
-from rnnlab.training import SineTask, SymbolTask, TrainConfig, load_run, save_run, train
+from rnnlab.training import (SineTask, SymbolTask, TrainConfig, load_snapshots, save_run,
+                             train)
+
+from helpers import history_csv_by_element
 
 
 def test_config_document_matches_the_written_field_list():
@@ -23,10 +27,14 @@ def test_stable_lstm_run_round_trips_and_stays_projected(tmp_path):
     model, run = train(cell, task, config)
     save_run(run, tmp_path / "run", extra_meta={"spec_hash": "abc"})
 
-    config_doc, history, snapshots = load_run(tmp_path / "run")
+    config_doc = json.loads((tmp_path / "run" / "config.json").read_text())
     assert config_doc["train"] == json.loads(json.dumps(config.to_dict()))
     assert config_doc["cell"]["kind"] == "slstm"
+    lines = (tmp_path / "run" / "history.csv").read_text().splitlines()
+    header, *rows = (line for line in lines if not line.startswith("#"))
+    history = [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
     assert history == [{k: float(v) for k, v in row.items()} for row in run.history]
+    snapshots = load_snapshots(tmp_path / "run")
     assert [e for e, _ in snapshots] == [0, 1, 2]
     for (epoch, values), (back_epoch, back) in zip(run.snapshots, snapshots):
         assert back_epoch == epoch
@@ -36,6 +44,20 @@ def test_stable_lstm_run_round_trips_and_stays_projected(tmp_path):
         for name in back.projected_blocks:
             assert spectral_norm(back.params.get(name)) <= 0.9 * (1.0 + 1e-12)
     assert np.array_equal(snapshots[-1][1].params.values, model.params.values)
+
+
+@pytest.mark.parametrize("extra_meta", [None, {"spec_hash": "abc", "seed": 2}])
+def test_history_csv_is_the_file_of_the_field_by_field_writer(extra_meta, tmp_path):
+    task = SymbolTask(length=50, n_train=20, n_val=20, seed=2)
+    cell = make_cell("lstm", 2, n_input=task.input_dim, bias=True, readout="linear",
+                     n_output=task.output_dim, init_seed=2)
+    config = TrainConfig(epochs=3, lr0=1e-2, batch_size=10, lr_drops=[(2, 10.0)], seed=2)
+    _, run = train(cell, task, config)
+    save_run(run, tmp_path / "run", extra_meta=extra_meta)
+    history_csv_by_element(run, tmp_path / "oracle.csv", extra_meta=extra_meta)
+    written = (tmp_path / "run" / "history.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert len(written.decode().split("\n")) == len(extra_meta or {}) + 1 + 3 + 1
 
 
 def test_sine_lstm_loss_falls_at_every_epoch():
