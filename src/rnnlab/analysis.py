@@ -39,15 +39,17 @@ class Projection:
 
 
 def make_projection(spec) -> Projection:
-    """Built-in projections: ``output:<i>`` and ``state_mean``."""
+    """Built-in projections: ``state_mean``, ``output`` (output 0) and ``output:<i>``
+    for a decimal ``i``; any other spec is a ``ValueError``."""
     if isinstance(spec, Projection):
         return spec
     if spec == "state_mean":
         return Projection("state_mean", lambda x, y: np.mean(x, axis=-1))
-    if spec.startswith("output"):
-        idx = int(spec.split(":", 1)[1]) if ":" in spec else 0
+    kind, sep, index = spec.partition(":")
+    if kind == "output" and (not sep or index.isdecimal()):
+        idx = int(index or 0)
         return Projection(f"output:{idx}", lambda x, y: y[..., idx])
-    raise ValueError(f"unknown projection {spec!r}")
+    raise ValueError(f"expected state_mean, output or output:<i>, got {spec!r}")
 
 
 # ---------------------------------------------------------------------------

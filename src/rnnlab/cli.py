@@ -6,15 +6,22 @@ lyapunov.  Each command declares its options once, as rows
 both the flag ``--name`` (``_`` written as ``-``) and the key ``name`` of
 the strict JSON document given by ``--config``.  A flag wins over a config
 value, which wins over the default.  Whichever source a value comes from,
-the option's ``parse`` checks and converts it, so a flag and a config value
-asking for the same run give the same outputs and the same spec hash.
-Exit codes: 0 ok, 2 config error, 3 numerical divergence, 4 I/O error.
-Every output file embeds the resolved-config hash, the seed and the
-package version, so re-running a command reproduces its outputs byte for
-byte.  Every artefact (CSV tables, JSON documents, SVG plots) is written by
+the option's ``parse`` checks and converts it.
+
+A run is identified by its spec: the command's name and every parsed
+option but ``out`` and ``config``.  A file the run reads counts by its
+content, not its path: ``weights`` by the hash of the loaded cell,
+``run_dir`` by the ``[epoch, theta_hash]`` list of its snapshots, a matrix
+file by its values; ``x0`` counts as resolved, so a weights file's own
+``x0`` counts too.  So a flag and a config value asking for the same run
+give the same spec hash, and an option that changes an output changes it.
+Every output file embeds the spec hash, the seed and the package version,
+so re-running a command reproduces its outputs byte for byte.  Every
+artefact (CSV tables, JSON documents, SVG plots) is written by
 :mod:`rnnlab.jsontext`, with each number formatted once; a JSON file holds
 the bytes ``json.dump(doc, indent=1)`` would write, and tests check each
 file against a streamed or element-by-element writer.
+Exit codes: 0 ok, 2 config error, 3 numerical divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .analysis import (
     check_entropy_bound,
     entropy_linear_gaussian,
     epoch_bifurcation,
+    make_projection,
 )
 from .cells import cell_from_dict, cell_to_dict, make_cell
 from .errors import ConfigError, DivergentCost, NonFiniteState, RnnLabError, SingularMatrix
@@ -119,7 +127,7 @@ def _choice(*allowed):
 def _list_of(parse_item):
     """Comma-separated values; a config may also give a JSON list or one value."""
     def parse(value):
-        items = value if isinstance(value, list) else str(value).split(",")
+        items = value if isinstance(value, list) else map(str.strip, str(value).split(","))
         try:
             return [parse_item(v) for v in items if v != ""]
         except ConfigError as err:
@@ -150,12 +158,13 @@ def _drops(value):
 
 
 def _projection(value):
-    """``output``, ``output:<i>`` or ``state_mean``, as ``make_projection`` reads them."""
+    """A projection spec that ``make_projection`` reads."""
     text = _str(value)
-    kind, sep, index = text.partition(":")
-    if text == "state_mean" or (kind == "output" and (not sep or index.isdecimal())):
-        return text
-    raise ConfigError(f"expected output:<i> or state_mean, got {text!r}")
+    try:
+        make_projection(text)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return text
 
 
 def _read_json(path, what):
@@ -244,17 +253,14 @@ def _resolve(options, args):
     return argparse.Namespace(**values)
 
 
-def _spec_hash(resolved: dict) -> str:
-    canon = json.dumps(resolved, sort_keys=True, default=str)
+def _spec_hash(spec: dict) -> str:
+    canon = json.dumps(spec, sort_keys=True, default=lambda a: a.tolist())
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _meta(resolved, seed):
-    return {
-        "spec_hash": _spec_hash(resolved),
-        "seed": seed,
-        "version": __version__,
-    }
+def _meta(spec):
+    """The meta every artefact of a run embeds: its spec hash, seed and version."""
+    return {"spec_hash": _spec_hash(spec), "seed": spec["seed"], "version": __version__}
 
 
 def _svg_desc(meta):
@@ -262,16 +268,29 @@ def _svg_desc(meta):
     return " ".join(f"{k}={v}" for k, v in meta.items())
 
 
-def _outdir(opts):
-    os.makedirs(opts.out, exist_ok=True)
-    return opts.out
+def _run(command, opts, spec):
+    """Run ``cmd_<command>(opts, spec)`` and write the files it returns.
 
-
-def _emit_json(opts, name, doc):
-    path = os.path.join(_outdir(opts), name)
-    _write_json(path, doc)
-    print(path)
+    The command completes ``spec`` as it reads its files (see the module
+    docstring) and returns ``(name, write)`` pairs.  Each ``write(path, meta)``
+    writes the file ``name`` in ``opts.out`` with the run's :func:`_meta`; the
+    first path is printed.  ``train`` writes its run directory itself.
+    """
+    # looked up now, so that a replaced cmd_* function is the one called
+    writes = globals()[f"cmd_{command}"](opts, spec)
+    if writes:
+        meta = _meta(spec)
+        os.makedirs(opts.out, exist_ok=True)
+        paths = [os.path.join(opts.out, name) for name, _ in writes]
+        for path, (_, write) in zip(paths, writes):
+            write(path, meta)
+        print(paths[0])
     return EXIT_OK
+
+
+def _json_file(name, doc):
+    """The ``(name, write)`` pair of a JSON artefact: the run's meta, then ``doc``."""
+    return name, lambda path, meta: _write_json(path, {**meta, **doc})
 
 
 def _load_weights_model(path):
@@ -286,36 +305,35 @@ def _load_weights_model(path):
     return cell, x0
 
 
-def _resolve_model(opts):
-    """Model, x0 and model description from --weights or from a --cell description.
+def _resolve_model(opts, spec):
+    """Model and x0 from --weights or from a --cell description.
 
     The model is scaled by the ``scale`` option of the commands that have one.
     """
     if opts.weights:
         model, x0 = _load_weights_model(opts.weights)
         # the cell, not where its file lies, identifies the run
-        desc = {"weights": _spec_hash(cell_to_dict(model))}
+        spec["weights"] = _spec_hash(cell_to_dict(model))
     elif opts.cell:
         readout = opts.readout or ("identity" if opts.inputs == 0 else "linear")
         model = make_cell(opts.cell, opts.hidden, n_input=opts.inputs,
                           bias=opts.inputs > 0, readout=readout,
                           n_output=opts.outputs, init_seed=opts.seed)
         x0 = model.initial_state()
-        desc = {"cell": opts.cell, "hidden": opts.hidden, "inputs": opts.inputs,
-                "readout": readout, "outputs": opts.outputs}
     else:
         raise ConfigError("need either --weights or --cell")
     scale = getattr(opts, "scale", None)
     if scale is not None:
         model = model.with_params(scale * model.params.values)
-    return model, _resolve_x0(opts, model, x0), desc
+    return model, _resolve_x0(opts, spec, model, x0)
 
 
-def _resolve_x0(opts, model, default):
-    """Initial state from the x0 option, else ``default``: ``model.state_dim`` numbers."""
+def _resolve_x0(opts, spec, model, default):
+    """Initial state from the x0 option, else ``default``; the spec records it."""
     x0 = np.asarray(default if opts.x0 is None else opts.x0, dtype=float)
     if x0.shape != (model.state_dim,):
         raise ConfigError(f"x0 needs {model.state_dim} values, got {x0.size}")
+    spec["x0"] = x0.tolist()
     return x0
 
 
@@ -342,26 +360,15 @@ def _constant_inputs(model, value, steps):
 _SIMULATE = _MODEL + (_STEPS, _SCALE) + _START + _RUN
 
 
-def cmd_simulate(opts):
-    seed, steps = opts.seed, opts.steps
-    model, x0, desc = _resolve_model(opts)
-    inputs = _constant_inputs(model, opts.input, steps)
-
-    resolved = {"command": "simulate", "steps": steps, "scale": opts.scale,
-                "x0": [float(v) for v in x0], "seed": seed, **desc}
-    meta = _meta(resolved, seed)
-    traj = simulate(model, x0, inputs)
-    out = _outdir(opts)
-    traj.to_csv(os.path.join(out, "trajectory.csv"), meta=meta)
-    traj.to_json(
-        os.path.join(out, "trajectory.json"),
-        model_name=model.name,
-        theta_hash=model.params.theta_hash(),
-        seed=seed,
-        meta={"spec_hash": meta["spec_hash"], "version": __version__},
-    )
-    print(os.path.join(out, "trajectory.csv"))
-    return EXIT_OK
+def cmd_simulate(opts, spec):
+    model, x0 = _resolve_model(opts, spec)
+    traj = simulate(model, x0, _constant_inputs(model, opts.input, opts.steps))
+    return [
+        ("trajectory.csv", traj.to_csv),
+        # the meta's seed fills the document's seed field
+        ("trajectory.json", lambda path, meta: traj.to_json(
+            path, model_name=model.name, theta_hash=model.params.theta_hash(), meta=meta)),
+    ]
 
 
 _BIFURCATE = _MODEL + (
@@ -376,25 +383,15 @@ _BIFURCATE = _MODEL + (
 ) + _START + _RUN
 
 
-def cmd_bifurcate(opts):
-    seed, burn_in, record = opts.seed, opts.burn_in, opts.record
-
+def cmd_bifurcate(opts, spec):
+    steady = dict(burn_in=opts.burn_in, record=opts.record, projection=opts.projection)
     if opts.sweep == "s":
-        model, x0, desc = _resolve_model(opts)
-        lo, hi = opts.range
-        s_values = np.linspace(lo, hi, opts.points)
+        model, x0 = _resolve_model(opts, spec)
         theta0 = model.params.values.copy()
         u = _constant_inputs(model, opts.input, 1)[0]
         _check_projection(opts.projection, model)
-        resolved = {"command": "bifurcate", "sweep": "s", "range": [lo, hi],
-                    "points": opts.points, "burn_in": burn_in, "record": record,
-                    "projection": opts.projection, "x0": x0.tolist(), "seed": seed,
-                    **desc}
-        diagram = bifurcation_sweep(
-            lambda s: model.with_params(s * theta0),
-            s_values, u, x0, burn_in=burn_in, record=record,
-            projection=opts.projection,
-        )
+        diagram = bifurcation_sweep(lambda s: model.with_params(s * theta0),
+                                    np.linspace(*opts.range, opts.points), u, x0, **steady)
     else:
         run_dir = opts.run_dir
         if not run_dir:
@@ -408,42 +405,30 @@ def cmd_bifurcate(opts):
                               f"{type(err).__name__} {err}") from None
         if not snapshots:
             raise ConfigError(f"run directory {run_dir} holds no snapshots")
-        base = snapshots[0][1]
-        pairs = [(e, c.params.values) for e, c in snapshots]
-        u = _constant_inputs(base, opts.input, 1)[0]
-        x0 = _resolve_x0(opts, base, base.initial_state())
-        _check_projection(opts.projection, base)
         # the snapshots, not where the run directory lies, identify the sweep
-        snapshot_hashes = [[e, c.params.theta_hash()] for e, c in snapshots]
-        resolved = {"command": "bifurcate", "sweep": "epoch",
-                    "snapshots": snapshot_hashes, "burn_in": burn_in,
-                    "record": record, "feedback": opts.feedback,
-                    "projection": opts.projection, "x0": x0.tolist(), "seed": seed}
-        diagram = epoch_bifurcation(
-            pairs, base, u, x0, burn_in=burn_in, record=record,
-            projection=opts.projection, feedback=opts.feedback,
-        )
+        spec["run_dir"] = [[e, c.params.theta_hash()] for e, c in snapshots]
+        base = snapshots[0][1]
+        u = _constant_inputs(base, opts.input, 1)[0]
+        x0 = _resolve_x0(opts, spec, base, base.initial_state())
+        _check_projection(opts.projection, base)
+        diagram = epoch_bifurcation([(e, c.params.values) for e, c in snapshots], base,
+                                    u, x0, feedback=opts.feedback, **steady)
 
-    meta = _meta(resolved, seed)
-    out = _outdir(opts)
-    diagram.to_csv(os.path.join(out, "bifurcation.csv"), meta=meta)
-    xs, ys = [], []
-    for s in diagram.samples:
-        if s.diverged:
-            continue
-        xs.extend([s.sweep_value] * len(s.p))
-        ys.extend(s.p)
-    svg_scatter(
-        os.path.join(out, "bifurcation.svg"), xs, ys,
-        title="steady-state samples", xlabel=diagram.config["sweep_kind"],
-        ylabel=diagram.config["projection"], desc=_svg_desc(meta),
-    )
-    print(os.path.join(out, "bifurcation.csv"))
-    return EXIT_OK
+    def plot(path, meta):
+        xs, ys = [], []
+        for s in diagram.samples:
+            if not s.diverged:
+                xs.extend([s.sweep_value] * len(s.p))
+                ys.extend(s.p)
+        svg_scatter(path, xs, ys, title="steady-state samples",
+                    xlabel=diagram.config["sweep_kind"],
+                    ylabel=diagram.config["projection"], desc=_svg_desc(meta))
+
+    return [("bifurcation.csv", diagram.to_csv), ("bifurcation.svg", plot)]
 
 
 _LANDSCAPE = _MODEL + (
-    ("along", _str, "true", "true | random | true,random"),
+    ("along", _list_of(_choice("true", "random")), "true", "true | random | true,random"),
     ("range", _ranges, "0:1.6", "lo:hi[,lo:hi]"),
     ("resolution", _list_of(_at_least(2)), 200, "points per axis"),
     _STEPS,
@@ -452,58 +437,40 @@ _LANDSCAPE = _MODEL + (
 ) + _START + _RUN
 
 
-def cmd_landscape(opts):
-    seed, steps, along, with_grad = opts.seed, opts.steps, opts.along, opts.grad
-    model, x0, desc = _resolve_model(opts)
-    loss = LOSSES[opts.loss]
-
-    inputs = _constant_inputs(model, opts.input, steps)
-    data_traj = simulate(model, x0, inputs)
-    dataset = [Sequence(inputs=inputs, targets=data_traj.outputs, x0=x0)]
+def cmd_landscape(opts, spec):
+    model, x0 = _resolve_model(opts, spec)
+    inputs = _constant_inputs(model, opts.input, opts.steps)
+    dataset = [Sequence(inputs=inputs, targets=simulate(model, x0, inputs).outputs, x0=x0)]
 
     theta_true = model.params.values.copy()
     axes = []
-    rng = np.random.default_rng(seed)
-    for name in along.split(","):
-        name = name.strip()
-        if name == "true":
-            axes.append(("true", theta_true))
-        elif name == "random":
+    rng = np.random.default_rng(opts.seed)
+    for name in opts.along:
+        direction = theta_true
+        if name == "random":
             direction = rng.standard_normal(theta_true.size)
             norm_true = np.linalg.norm(theta_true)
             if norm_true > 0 and np.linalg.norm(direction) > 0:
                 direction *= norm_true / np.linalg.norm(direction)
-            axes.append(("random", direction))
-        else:
-            raise ConfigError(f"--along accepts 'true' and 'random', got {name!r}")
-
-    ranges, resolution = opts.range, opts.resolution
-    if len(ranges) != len(axes) or len(resolution) != len(axes):
+        axes.append((name, direction))
+    if len(opts.range) != len(axes) or len(opts.resolution) != len(axes):
         raise ConfigError("--range and --resolution must match the number of axes")
 
-    resolved = {"command": "landscape", "along": along, "range": ranges,
-                "resolution": resolution, "steps": steps, "loss": loss.kind,
-                "grad": with_grad, "x0": x0.tolist(), "seed": seed, **desc}
-    meta = _meta(resolved, seed)
-
     grid = landscape_sweep(
-        lambda theta: model.with_params(theta), dataset, loss,
-        axes, ranges, resolution, with_gradient=with_grad,
+        lambda theta: model.with_params(theta), dataset, LOSSES[opts.loss],
+        axes, opts.range, opts.resolution, with_gradient=opts.grad,
     )
-    out = _outdir(opts)
-    grid.to_csv(os.path.join(out, "landscape.csv"), meta=meta)
-    if grid.ndim == 1:
-        svg_line(os.path.join(out, "landscape.svg"), grid.coords[0], grid.values,
-                 title="cost along parameter ray", xlabel="s1", ylabel="V",
-                 desc=_svg_desc(meta))
-        census = local_minima_census(grid)
-        _write_json(os.path.join(out, "minima.json"), {**meta, **census})
-    else:
-        svg_heatmap(os.path.join(out, "landscape.svg"), grid.values,
-                    grid.coords[0], grid.coords[1], title="cost surface",
-                    xlabel="s1", ylabel="s2", desc=_svg_desc(meta))
-    print(os.path.join(out, "landscape.csv"))
-    return EXIT_OK
+    writes = [("landscape.csv", grid.to_csv)]
+    if grid.ndim == 2:
+        return writes + [("landscape.svg", lambda path, meta: svg_heatmap(
+            path, grid.values, *grid.coords, title="cost surface",
+            xlabel="s1", ylabel="s2", desc=_svg_desc(meta)))]
+    return writes + [
+        ("landscape.svg", lambda path, meta: svg_line(
+            path, grid.coords[0], grid.values, title="cost along parameter ray",
+            xlabel="s1", ylabel="V", desc=_svg_desc(meta))),
+        _json_file("minima.json", local_minima_census(grid)),
+    ]
 
 
 _TRAIN = (
@@ -529,7 +496,7 @@ def _given(value, default):
     return default if value is None else value
 
 
-def cmd_train(opts):
+def cmd_train(opts, spec):
     seed, kind, task_name = opts.seed, opts.cell, opts.task
     drops = [(500, 10.0), (1000, 10.0), (2000, 10.0)]
     if task_name == "sine":
@@ -550,17 +517,12 @@ def cmd_train(opts):
         snapshot_every=_given(opts.snapshot_every, max(epochs // 15, 1)),
         seed=seed, stop_at_metric=stop_at,
     )
-    resolved = {"command": "train", "cell": kind, "task": task_name,
-                "hidden": opts.hidden, "train": tconf.to_dict(), "seed": seed}
-    meta = _meta(resolved, seed)
-
     model, run = train(cell, task, tconf)
     out = opts.out or f"run-{task_name}-{kind}-seed{seed}"
-    save_run(run, out, extra_meta=meta)
+    save_run(run, out, extra_meta=_meta(spec))
     result = task.evaluate(model)
     print(f"{out}: final {result.kind}={result.metric:.6g} "
           f"(baseline {result.baseline:.6g})")
-    return EXIT_OK
 
 
 _SMOOTHNESS = (
@@ -575,15 +537,13 @@ _SMOOTHNESS = (
 ) + _RUN
 
 
-def cmd_smoothness(opts):
+def cmd_smoothness(opts, spec):
     c = SmoothnessConstants(
         L_f=opts.Lf, N=opts.N, L_g=opts.Lg, L_f_prime=opts.Lfp, L_g_prime=opts.Lgp,
         K1=opts.K1, K2=opts.K2, K3=opts.K3, K4=opts.K4, L_y=opts.Ly,
         M_scale=opts.M_scale,
     )
-    report = bound_report(c)
-    resolved = {"command": "smoothness", "inputs": report["inputs"], "seed": opts.seed}
-    return _emit_json(opts, "smoothness.json", {**_meta(resolved, opts.seed), **report})
+    return [_json_file("smoothness.json", bound_report(c))]
 
 
 _ENTROPY = (
@@ -594,8 +554,8 @@ _ENTROPY = (
 ) + _RUN
 
 
-def cmd_entropy(opts):
-    A, seed, T = opts.A, opts.seed, opts.T
+def cmd_entropy(opts, spec):
+    A, T = opts.A, opts.T
     if A is None:
         raise ConfigError("missing matrix specification: --A")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -607,13 +567,9 @@ def cmd_entropy(opts):
         raise ConfigError("Sigma0: expected a positive definite matrix")
     L_f = _given(opts.Lf, float(np.linalg.norm(A, 2)))
 
-    resolved = {"command": "entropy", "A": A.tolist(), "Sigma0": sigma0.tolist(),
-                "T": T, "Lf": L_f, "seed": seed}
-    meta = _meta(resolved, seed)
     trace = entropy_linear_gaussian(A, sigma0, T)
     report = check_entropy_bound(trace, L_f)
-    doc = {
-        **meta,
+    return [_json_file("entropy.json", {
         "n_states": trace.n_states,
         "log_abs_det_A": trace.log_abs_det_A,
         "H": trace.H.tolist(),
@@ -623,8 +579,7 @@ def cmd_entropy(opts):
         "lower_form_holds": report.lower_holds,
         "upper_ok": report.upper_ok.tolist(),
         "lower_ok": report.lower_ok.tolist(),
-    }
-    return _emit_json(opts, "entropy.json", doc)
+    })]
 
 
 _LYAPUNOV = _MODEL + (
@@ -633,16 +588,11 @@ _LYAPUNOV = _MODEL + (
 ) + _START + _RUN
 
 
-def cmd_lyapunov(opts):
-    seed, burn_in, horizon = opts.seed, opts.burn_in, opts.horizon
-    model, x0, desc = _resolve_model(opts)
+def cmd_lyapunov(opts, spec):
+    model, x0 = _resolve_model(opts, spec)
     u = _constant_inputs(model, opts.input, 1)[0]
-
-    resolved = {"command": "lyapunov", "scale": opts.scale, "burn_in": burn_in,
-                "horizon": horizon, "x0": x0.tolist(), "seed": seed, **desc}
-    meta = _meta(resolved, seed)
-    value = lyapunov_exponent(model, x0, u, burn_in=burn_in, horizon=horizon)
-    return _emit_json(opts, "lyapunov.json", {**meta, "lyapunov_exponent": float(value)})
+    value = lyapunov_exponent(model, x0, u, burn_in=opts.burn_in, horizon=opts.horizon)
+    return [_json_file("lyapunov.json", {"lyapunov_exponent": float(value)})]
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +644,9 @@ def main(argv=None):
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         opts = _resolve(_COMMANDS[args.command][1], args)
-        # looked up now, so that a replaced cmd_* function is the one called
-        return globals()[f"cmd_{args.command}"](opts)
+        spec = {"command": args.command, **vars(opts)}
+        del spec["out"]
+        return _run(args.command, opts, spec)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

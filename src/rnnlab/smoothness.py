@@ -251,6 +251,9 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
         raise ValueError("n_pairs must be >= 10")
     lo = np.asarray(theta_low, dtype=float)
     hi = np.asarray(theta_high, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise ValueError(f"theta box [{lo}, {hi}] is not of finite width")
     rng = np.random.default_rng(rng_seed)
     n = int(n_pairs)
     scales = [None] + list(PAIR_SCALES)

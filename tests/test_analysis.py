@@ -28,8 +28,10 @@ def test_builtin_projections():
     y = np.array([-2.0, 5.0])
     assert make_projection("output:1")(x, y) == 5.0
     assert make_projection("state_mean")(x, y) == 2.0
-    with pytest.raises(ValueError):
-        make_projection("nope")
+    assert make_projection("output")(x, y) == -2.0
+    for spec in ("nope", "outputs", "output_x", "output:-1", "output:"):
+        with pytest.raises(ValueError, match="expected state_mean, output or output:<i>"):
+            make_projection(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from importlib.resources import files
 from pathlib import Path
@@ -31,7 +32,7 @@ def read_rows(path):
 
 
 def test_divergent_cost_exits_numeric(monkeypatch, capsys):
-    def diverge(args):
+    def diverge(*args):
         raise DivergentCost("cost 1e+139 exceeds 1e+100")
 
     monkeypatch.setattr(cli, "cmd_lyapunov", diverge)
@@ -94,17 +95,92 @@ def test_landscape_and_bifurcate_rerun_byte_identical(tmp_path):
                       "--resolution", "9", "--steps", "30", "--x0", X0],
         "bifurcate": ["bifurcate", "--weights", REFERENCE, "--range", "0.8:1.6",
                       "--points", "5", "--burn-in", "10", "--record", "6", "--x0", X0],
+        "simulate": ["simulate", "--weights", REFERENCE, "--steps", "20", "--x0", X0],
+        "train": ["train", "--task", "symbols", "--cell", "slstm", "--hidden", "2",
+                  "--epochs", "1", "--snapshot-every", "1"],
+        "smoothness": ["smoothness", "--Lf", "0.9", "--N", "20"],
+        "entropy": ["entropy", "--A", "diag:0.5,1.2", "--T", "4"],
+        "lyapunov": ["lyapunov", "--weights", REFERENCE, "--burn-in", "10",
+                     "--horizon", "100", "--x0", X0],
     }
     for name, argv in commands.items():
         assert run(argv, tmp_path / name / "a") == cli.EXIT_OK
         assert run(argv, tmp_path / name / "b") == cli.EXIT_OK
-        written = sorted(p.name for p in (tmp_path / name / "a").iterdir())
-        assert written
-        for fname in written:
-            a = (tmp_path / name / "a" / fname).read_bytes()
-            assert a == (tmp_path / name / "b" / fname).read_bytes()
+        written = tree(tmp_path / name / "a")
+        assert written and written == tree(tmp_path / name / "b"), name
     rows = read_rows(tmp_path / "bifurcate" / "a" / "bifurcation.csv")
     assert len(rows) == 5 * 6
+
+
+SPEC_HASH = re.compile(r'spec_hash[=": ]+([0-9a-f]{16})')
+
+
+def spec_hash(out):
+    """The one spec hash that every file under ``out`` embeds."""
+    files = [p for p in Path(out).rglob("*") if p.is_file()]
+    hashes = [SPEC_HASH.findall(p.read_text()) for p in files]
+    assert files and all(hashes)
+    (value,) = {h for found in hashes for h in found}
+    return value
+
+
+@pytest.fixture(scope="module")
+def sine_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sine_run")
+    assert run(["train", "--task", "sine", "--cell", "lstm", "--hidden", "2",
+                "--epochs", "1", "--seed", "3"], out) == cli.EXIT_OK
+    return str(out)
+
+
+LSTM_1_INPUT = ["--cell", "lstm", "--hidden", "2", "--inputs", "1"]
+
+
+@pytest.mark.parametrize("argv, flag, values", [
+    (["simulate", *LSTM_1_INPUT, "--steps", "5"], "--input", ("0.1", "0.9")),
+    (["landscape", *LSTM_1_INPUT, "--range", "0.8:1.2", "--resolution", "3",
+      "--steps", "5"], "--input", ("0.1", "0.9")),
+    (["lyapunov", *LSTM_1_INPUT, "--burn-in", "2", "--horizon", "100"],
+     "--input", ("0.1", "0.9")),
+    (["bifurcate", *LSTM_1_INPUT, "--points", "2", "--burn-in", "2", "--record", "2"],
+     "--input", ("0.1", "0.9")),
+    (["bifurcate", "--sweep", "epoch", "--run-dir", "RUN", "--burn-in", "2", "--record", "2"],
+     "--input", ("0.1", "0.9")),
+    (["train", "--task", "symbols", "--hidden", "2", "--epochs", "1"],
+     "--length", ("50", "60")),
+    (["train", "--cell", "slstm", "--hidden", "2", "--epochs", "0"],
+     "--target-norm", ("0.9", "0.95")),
+], ids=["simulate-input", "landscape-input", "lyapunov-input", "bifurcate_s-input",
+        "bifurcate_epoch-input", "train_symbols-length", "train_slstm-target_norm"])
+def test_an_option_that_changes_the_outputs_changes_the_spec_hash(argv, flag, values,
+                                                                  sine_run, tmp_path):
+    argv = [sine_run if a == "RUN" else a for a in argv]
+    outputs = [tmp_path / value for value in values]
+    for value, out in zip(values, outputs):
+        assert run(argv + [flag, value], out) == cli.EXIT_OK
+    masked = [{p: SPEC_HASH.sub("", b.decode()) for p, b in tree(out).items()}
+              for out in outputs]
+    assert masked[0] != masked[1]
+    assert spec_hash(outputs[0]) != spec_hash(outputs[1])
+
+
+def test_weights_that_differ_only_in_x0_differ_in_spec_hash(tmp_path):
+    doc = json.loads(open(REFERENCE).read())
+    hashes = []
+    for x0 in ([0.5] * 4, [0.25] * 4):
+        weights = tmp_path / f"{x0[0]}.json"
+        weights.write_text(json.dumps({**doc, "x0": x0}))
+        out = tmp_path / f"out{x0[0]}"
+        assert run(["simulate", "--weights", str(weights), "--steps", "5"], out) == cli.EXIT_OK
+        hashes.append(spec_hash(out))
+    assert hashes[0] != hashes[1]
+
+
+def test_a_matrix_counts_by_its_values_not_its_spelling(tmp_path):
+    matrix = tmp_path / "A.json"
+    matrix.write_text("[[0.5, 0], [0, 1.2]]")
+    for name, value in (("diag", "diag:0.5,1.2"), ("file", str(matrix))):
+        assert run(["entropy", "--A", value, "--T", "4"], tmp_path / name) == cli.EXIT_OK
+    assert tree(tmp_path / "diag") == tree(tmp_path / "file")
 
 
 def test_epoch_diagram_does_not_depend_on_where_the_run_lies(tmp_path):

@@ -310,6 +310,18 @@ def test_pairs_of_a_huge_box_are_measured_without_float_warnings():
         assert (est.n_pairs_used, est.n_divergent, est.L_V_hat) == (0, 3, 0.0)
 
 
+@pytest.mark.parametrize("low, high", [(-1.7e308, 1.7e308), (0.0, math.inf),
+                                       (math.nan, 1.0)])
+def test_a_box_of_infinite_width_is_refused_before_any_draw(low, high):
+    def family(theta):
+        raise AssertionError("a pair was drawn")
+
+    ds = [Sequence(np.ones((5, 1)), np.zeros(5), x0=np.array([0.0]))]
+    with pytest.raises(ValueError, match="theta box .* is not of finite width"):
+        empirical_lipschitz_V(family, ds, theta_low=[0.5, low], theta_high=[1.5, high],
+                              n_pairs=10)
+
+
 def test_empirical_contractive_plateau_in_horizon():
     vals = []
     for n in [25, 50, 100, 200]:
