@@ -16,7 +16,6 @@ from .analysis import (
     check_entropy_bound,
     classify_attractor,
     entropy_linear_gaussian,
-    epoch_bifurcation,
     make_projection,
 )
 from .cells import (
@@ -69,7 +68,6 @@ from .statespace import (
     find_fixed_points,
     lyapunov_exponent,
     simulate,
-    simulate_closed_loop,
 )
 from .training import (
     Adam,

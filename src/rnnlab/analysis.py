@@ -2,10 +2,12 @@
 
 Bifurcation diagrams collect the values a scalar projection of the
 steady state visits (after a burn-in) as a function of a sweep scalar:
-either a parameter-ray coordinate or a training epoch.  Attractors are
-classified from those samples; entropy evolution is computed analytically
-for linear-Gaussian propagation, where the per-step increment is exactly
-log|det A|.
+either a parameter-ray coordinate or a training epoch.  One sweep,
+:func:`bifurcation_sweep`, serves both: its model stacks one row per sweep
+value, the s * theta points of a ray or the snapshots of a run.
+Attractors are classified from those samples; entropy evolution is
+computed analytically for linear-Gaussian propagation, where the per-step
+increment is exactly log|det A|.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import SingularMatrix, TooFewSamples
 from .jsontext import write_csv
-from .statespace import argmax_onehot_feedback, rollout
+from .statespace import rollout
 
 # ---------------------------------------------------------------------------
 # projections
@@ -59,13 +61,20 @@ def make_projection(spec) -> Projection:
 
 @dataclass
 class SteadyStateSamples:
-    """Recorded steady-state points for one sweep value."""
+    """Recorded steady-state points for one sweep value.
+
+    A divergent sweep value records no points, only the step at which its
+    simulation first held a NaN/Inf.
+    """
 
     sweep_value: float
     p: np.ndarray        # projected values, one per recorded step
     dp: np.ndarray       # first differences p[t] - p[t-1]
-    diverged: bool = False
     diverged_step: int | None = None
+
+    @property
+    def diverged(self):
+        return self.diverged_step is not None
 
 
 @dataclass
@@ -86,27 +95,40 @@ class BifurcationDiagram:
         write_csv(path, meta, "sweep,p,dp", rows)
 
 
-def _steady_states(model, sweep, u, x0, burn_in, record, projection, feedback=None):
+def bifurcation_sweep(model, sweep, u_const, x0, burn_in=100, record=100,
+                      projection="output:0", feedback=None) -> BifurcationDiagram:
     """Steady-state samples of every row of a model stacking the sweep.
 
-    All rows are simulated together from x0 under the constant input u
-    (or, with feedback, a loop seeded by u); the projection is applied to
-    the whole recorded block at once.
+    Row i of ``model`` is the point of sweep value ``sweep[i]``: s * theta
+    on a parameter ray, or the snapshot of a training epoch.  All rows are
+    simulated together, ``burn_in + record`` steps from x0, under the
+    constant input ``u_const``, or, with ``feedback``, in the closed loop
+    ``z[t+1] = feedback(y[t])`` that ``u_const`` seeds (see
+    :func:`~rnnlab.statespace.rollout`), whose attractors may differ from
+    those of the constant-input map.  The last ``record`` projected values
+    and their first differences are recorded.  A divergent sweep
+    value is kept as a marker, so the rest of the diagram still renders.
     """
+    if record < 1:
+        raise ValueError("record must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    proj = make_projection(projection)
+    sweep = [float(s) for s in sweep]
     total = burn_in + record
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (len(sweep), model.state_dim))
-    u = np.asarray(u, dtype=float).reshape(model.input_dim)
+    u = np.asarray(u_const, dtype=float).reshape(model.input_dim)
     if feedback is None:
         run = rollout(model, x0, np.tile(u, (total, 1)))
     else:
         run = rollout(model, x0, u, total, feedback)
     start = max(burn_in - 1, 0)
-    p_all = projection(run.states[start:], run.outputs[start:])   # (steps, P)
+    p_all = proj(run.states[start:], run.outputs[start:])   # (steps, P)
     samples = []
     for i, s in enumerate(sweep):
         if run.diverged[i]:
             samples.append(SteadyStateSamples(
-                s, np.empty(0), np.empty(0), True, int(run.diverged_at[i])))
+                s, np.empty(0), np.empty(0), int(run.diverged_at[i])))
             continue
         p_row = p_all[:, i]
         if burn_in >= 1:
@@ -117,67 +139,8 @@ def _steady_states(model, sweep, u, x0, burn_in, record, projection, feedback=No
             p = p_row
             dp = np.concatenate([[0.0], p_row[1:] - p_row[:-1]])
         samples.append(SteadyStateSamples(s, p, dp))
-    return samples
-
-
-def bifurcation_sweep(model_family, s_values, u_const, x0, burn_in=100,
-                      record=100, projection="output:0") -> BifurcationDiagram:
-    """Steady-state samples of the model family for each sweep value.
-
-    ``model_family`` is called once, with the (P, 1) column of sweep
-    values, and returns the model stacking all of them.  Each is simulated
-    ``burn_in + record`` steps from x0 under the constant input; the last
-    ``record`` projected values and their first differences are recorded.
-    Divergent sweep values are kept as markers so the rest of the diagram
-    still renders.
-    """
-    if record < 1:
-        raise ValueError("record must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    proj = make_projection(projection)
-    s_values = [float(s) for s in s_values]
-    model = model_family(np.array(s_values)[:, None])
-    samples = _steady_states(model, s_values, u_const, x0, burn_in, record, proj)
-    cfg = {
-        "burn_in": burn_in,
-        "record": record,
-        "projection": proj.name,
-        "sweep_kind": "parameter",
-    }
-    return BifurcationDiagram(sweep=s_values, samples=samples, config=cfg)
-
-
-def epoch_bifurcation(snapshots, base_model, u_const, x0, burn_in=1200,
-                      record=200, projection="output:0",
-                      feedback="none") -> BifurcationDiagram:
-    """Bifurcation diagram over training epochs.
-
-    ``snapshots`` is a list of (epoch, flat theta); one model stacks all
-    of them.  With ``feedback="argmax"`` the simulation runs closed-loop,
-    feeding back a one-hot of the largest output; the supplied constant
-    input seeds the loop.
-    """
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
-    proj = make_projection(projection)
-    fb = None
-    if feedback == "argmax":
-        fb = argmax_onehot_feedback(base_model.input_dim)
-    elif feedback not in (None, "none"):
-        raise ValueError("feedback must be 'none' or 'argmax'")
-    epochs = [float(e) for e, _ in snapshots]
-    model = base_model.with_params(np.stack([theta for _, theta in snapshots]))
-    samples = _steady_states(model, epochs, u_const, x0, burn_in, record, proj, fb)
-    cfg = {
-        "burn_in": burn_in,
-        "record": record,
-        "projection": proj.name,
-        "sweep_kind": "epoch",
-        "feedback": feedback,
-    }
-    return BifurcationDiagram(sweep=epochs, samples=samples, config=cfg)
+    cfg = {"burn_in": burn_in, "record": record, "projection": proj.name}
+    return BifurcationDiagram(sweep=sweep, samples=samples, config=cfg)
 
 
 # ---------------------------------------------------------------------------

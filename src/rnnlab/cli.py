@@ -13,8 +13,13 @@ option but ``out`` and ``config``.  A file the run reads counts by its
 content, not its path: ``weights`` by the hash of the loaded cell,
 ``run_dir`` by the ``[epoch, theta_hash]`` list of its snapshots, a matrix
 file by its values; ``x0`` counts as resolved, so a weights file's own
-``x0`` counts too.  So a flag and a config value asking for the same run
-give the same spec hash, and an option that changes an output changes it.
+``x0`` counts too.  An option the run does not read counts at its default:
+the cell description beside ``weights``, the ray options of an epoch sweep,
+``run_dir`` of an s sweep.  So a flag and a config value asking for the
+same run give the same spec hash, an option that changes an output changes
+it, and one that changes none leaves it.  ``bifurcate`` stacks its sweep
+(the s * theta points of a ray, or a run's snapshots) into one model and
+runs one steady-state sweep over it, closed-loop with ``--feedback argmax``.
 Every output file embeds the spec hash, the seed and the package version,
 so re-running a command reproduces its outputs byte for byte.  Every
 artefact (CSV tables, JSON documents, SVG plots) is written by
@@ -40,7 +45,6 @@ from .analysis import (
     bifurcation_sweep,
     check_entropy_bound,
     entropy_linear_gaussian,
-    epoch_bifurcation,
     make_projection,
 )
 from .cells import cell_from_dict, cell_to_dict, make_cell
@@ -53,7 +57,7 @@ from .smoothness import (
     landscape_sweep,
     local_minima_census,
 )
-from .statespace import MIN_LYAPUNOV_HORIZON, lyapunov_exponent, simulate
+from .statespace import MIN_LYAPUNOV_HORIZON, argmax_onehot_feedback, lyapunov_exponent, simulate
 from .svgplot import svg_heatmap, svg_line, svg_scatter
 from .training import (
     SineTask,
@@ -143,7 +147,10 @@ def _range(value):
     items = _str(value).split(":")
     if len(items) != 2:
         raise ConfigError(f"expected lo:hi, got {value!r}")
-    return tuple(map(_float, items))
+    lo, hi = map(_float, items)
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"expected lo:hi of finite width, got {value!r}")
+    return lo, hi
 
 
 def _ranges(value):
@@ -293,6 +300,14 @@ def _json_file(name, doc):
     return name, lambda path, meta: _write_json(path, {**meta, **doc})
 
 
+def _unread(spec, *names):
+    """Put each named option into ``spec`` at its table default: an option the
+    run does not read must not change its spec hash."""
+    for name, parse, default, _ in _COMMANDS[spec["command"]][1]:
+        if name in names:
+            spec[name] = default if default is None else parse(default)
+
+
 def _load_weights_model(path):
     doc = _read_json(path, "weights file")
     try:
@@ -314,6 +329,7 @@ def _resolve_model(opts, spec):
         model, x0 = _load_weights_model(opts.weights)
         # the cell, not where its file lies, identifies the run
         spec["weights"] = _spec_hash(cell_to_dict(model))
+        _unread(spec, "cell", "hidden", "inputs", "readout", "outputs")
     elif opts.cell:
         readout = opts.readout or ("identity" if opts.inputs == 0 else "linear")
         model = make_cell(opts.cell, opts.hidden, n_input=opts.inputs,
@@ -335,13 +351,6 @@ def _resolve_x0(opts, spec, model, default):
         raise ConfigError(f"x0 needs {model.state_dim} values, got {x0.size}")
     spec["x0"] = x0.tolist()
     return x0
-
-
-def _check_projection(projection, model):
-    index = projection.partition(":")[2]
-    if index and int(index) >= model.output_dim:
-        raise ConfigError(f"projection: expected an output below {model.output_dim}, "
-                          f"got {projection!r}")
 
 
 def _constant_inputs(model, value, steps):
@@ -378,21 +387,23 @@ _BIFURCATE = _MODEL + (
     _BURN_IN,
     ("record", _at_least(1), 100, "steady-state steps recorded per sweep value"),
     ("projection", _projection, "output:0", "output:<i> or state_mean"),
-    ("feedback", _choice("none", "argmax"), "none", "closed-loop input of an epoch sweep"),
+    ("feedback", _choice("none", "argmax"), "none",
+     "argmax feeds back a one-hot of the largest output as the next input"),
     ("run_dir", _str, None, "training run directory of an epoch sweep"),
 ) + _START + _RUN
 
 
 def cmd_bifurcate(opts, spec):
-    steady = dict(burn_in=opts.burn_in, record=opts.record, projection=opts.projection)
     if opts.sweep == "s":
+        _unread(spec, "run_dir")
         model, x0 = _resolve_model(opts, spec)
-        theta0 = model.params.values.copy()
-        u = _constant_inputs(model, opts.input, 1)[0]
-        _check_projection(opts.projection, model)
-        diagram = bifurcation_sweep(lambda s: model.with_params(s * theta0),
-                                    np.linspace(*opts.range, opts.points), u, x0, **steady)
+        sweep = np.linspace(*opts.range, opts.points)
+        with np.errstate(over="ignore"):  # a point whose theta overflows diverges
+            thetas = sweep[:, None] * model.params.values
+        model = model.with_params(thetas)
     else:
+        _unread(spec, "weights", "cell", "hidden", "inputs", "readout", "outputs",
+                "range", "points")
         run_dir = opts.run_dir
         if not run_dir:
             raise ConfigError("--sweep epoch needs --run-dir")
@@ -407,12 +418,22 @@ def cmd_bifurcate(opts, spec):
             raise ConfigError(f"run directory {run_dir} holds no snapshots")
         # the snapshots, not where the run directory lies, identify the sweep
         spec["run_dir"] = [[e, c.params.theta_hash()] for e, c in snapshots]
+        sweep = [e for e, _ in snapshots]
         base = snapshots[0][1]
-        u = _constant_inputs(base, opts.input, 1)[0]
+        model = base.with_params(np.stack([c.params.values for _, c in snapshots]))
         x0 = _resolve_x0(opts, spec, base, base.initial_state())
-        _check_projection(opts.projection, base)
-        diagram = epoch_bifurcation([(e, c.params.values) for e, c in snapshots], base,
-                                    u, x0, feedback=opts.feedback, **steady)
+    u = _constant_inputs(model, opts.input, 1)[0]
+    index = opts.projection.partition(":")[2]
+    if index and int(index) >= model.output_dim:
+        raise ConfigError(f"projection: expected an output below {model.output_dim}, "
+                          f"got {opts.projection!r}")
+    feedback = None
+    if opts.feedback == "argmax":
+        if model.input_dim == 0:
+            raise ConfigError("feedback: argmax needs a model with inputs")
+        feedback = argmax_onehot_feedback(model.input_dim)
+    diagram = bifurcation_sweep(model, sweep, u, x0, opts.burn_in, opts.record,
+                                opts.projection, feedback)
 
     def plot(path, meta):
         xs, ys = [], []
@@ -421,7 +442,7 @@ def cmd_bifurcate(opts, spec):
                 xs.extend([s.sweep_value] * len(s.p))
                 ys.extend(s.p)
         svg_scatter(path, xs, ys, title="steady-state samples",
-                    xlabel=diagram.config["sweep_kind"],
+                    xlabel="parameter" if opts.sweep == "s" else "epoch",
                     ylabel=diagram.config["projection"], desc=_svg_desc(meta))
 
     return [("bifurcation.csv", diagram.to_csv), ("bifurcation.svg", plot)]

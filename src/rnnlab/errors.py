@@ -42,7 +42,7 @@ class DivergentCost(RnnLabError):
 
     The one definition every cost sweep applies: an evaluation diverges
     when its simulation raises :class:`NonFiniteState`, or when the cost
-    is non-finite or above ``smoothness.DIVERGENT_COST_BOUND``.  The bound
+    is non-finite or above ``sensitivity.DIVERGENT_COST_BOUND``.  The bound
     is on the cost, not on the state.
     """
 

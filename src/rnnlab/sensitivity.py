@@ -209,8 +209,9 @@ def cost_and_gradient_reverse(model, dataset, loss=SQUARED_ERROR):
     A model stacking P points (``with_params`` of a (P, N_theta) matrix)
     runs all of them in the same two passes and returns their costs (P,),
     gradients (P, N_theta) and a mask (P,) of the rows that diverged: a
-    NaN/Inf state, output, cost or gradient.  It raises for none of them;
-    their gradients are NaN.  Each cost is :func:`cost` of its point alone,
+    NaN/Inf state, output or gradient, or a cost that
+    :func:`divergent_costs` rejects.  It raises for none of them; their
+    gradients are NaN.  Each cost is :func:`cost` of its point alone,
     summed the same way; each gradient is that of its point up to rounding.
     """
     dataset = _as_dataset(dataset)
@@ -229,6 +230,24 @@ def cost_and_gradient_reverse(model, dataset, loss=SQUARED_ERROR):
     if not np.all(np.isfinite(grad)):
         raise NonFiniteState(0, "gradient")
     return value, grad
+
+
+DIVERGENT_COST_BOUND = 1e100
+"""Costs above this count as divergent, like non-finite ones.
+
+The package's cells have bounded hidden states (|h| <= 1 under tanh and
+sigmoid gating) and affine readouts, so a squared-error cost stays below
+(|W_out| sqrt(H) + |b_out| + |y|)^2: reaching 1e100 takes an output
+residual of 1e50, which only an expanding state produces.  The bound
+also leaves room in float64 (max ~1.8e308) for what a sweep derives from
+a point: a gradient that grows like the residual times its sensitivity,
+and Lipschitz ratios of such values over pair distances down to 1e-6.
+"""
+
+
+def divergent_costs(v):
+    """Where a cost is non-finite or above :data:`DIVERGENT_COST_BOUND`."""
+    return ~np.isfinite(v) | (v > DIVERGENT_COST_BOUND)
 
 
 def _stacked_cost_and_gradient(model, dataset, loss, with_gradient=True):
@@ -251,7 +270,7 @@ def _stacked_cost_and_gradient(model, dataset, loss, with_gradient=True):
                 grad += model.backward_batch(
                     run, w * loss.derivative(run.outputs, Y[:, :, None]))
         values = mean_over_sequences(costs)
-    diverged |= ~np.isfinite(values)
+    diverged |= divergent_costs(values)
     if with_gradient:
         diverged |= ~np.isfinite(grad).all(axis=1)
         grad[diverged] = np.nan

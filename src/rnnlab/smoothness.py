@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import DivergentCost, NonFiniteState
 from .jsontext import FloatRows, write_csv
-from .sensitivity import SQUARED_ERROR, _as_dataset, _stacked_cost_and_gradient, cost
+from .sensitivity import (
+    DIVERGENT_COST_BOUND,
+    SQUARED_ERROR,
+    _as_dataset,
+    _stacked_cost_and_gradient,
+    cost,
+    divergent_costs,
+)
 
 # ---------------------------------------------------------------------------
 # closed-form bound calculators
@@ -173,24 +180,6 @@ def bound_report(c: SmoothnessConstants) -> dict:
 # divergent evaluations
 # ---------------------------------------------------------------------------
 
-DIVERGENT_COST_BOUND = 1e100
-"""Costs above this count as divergent, like non-finite ones.
-
-The package's cells have bounded hidden states (|h| <= 1 under tanh and
-sigmoid gating) and affine readouts, so a squared-error cost stays below
-(|W_out| sqrt(H) + |b_out| + |y|)^2: reaching 1e100 takes an output
-residual of 1e50, which only an expanding state produces.  The bound
-also leaves room in float64 (max ~1.8e308) for what a sweep derives from
-a point: a gradient that grows like the residual times its sensitivity,
-and Lipschitz ratios of such values over pair distances down to 1e-6.
-"""
-
-
-def divergent_costs(v):
-    """Where a cost is non-finite or above :data:`DIVERGENT_COST_BOUND`."""
-    return ~np.isfinite(v) | (v > DIVERGENT_COST_BOUND)
-
-
 def checked_cost(model, dataset, loss=SQUARED_ERROR) -> float:
     """Cost of ``model`` on ``dataset``, or :class:`DivergentCost`.
 
@@ -269,7 +258,6 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
     model = model_family(np.concatenate([a, b]))
     v, g, divergent = _stacked_cost_and_gradient(model, _as_dataset(dataset), loss,
                                                  with_gradient)
-    divergent |= divergent_costs(v)
     dist = _row_norms(a - b)
     drawn = dist > 0.0
     used = drawn & ~divergent[:n] & ~divergent[n:]
@@ -360,14 +348,15 @@ def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
     gnorms = np.empty(n_points) if with_gradient else None
     for start in range(0, n_points, block):
         rows = slice(start, start + block)
-        thetas = grids[0][rows] * dirs[0]
-        if len(axes) == 2:
-            thetas = thetas + grids[1][rows] * dirs[1]
+        # a point whose theta overflows diverges in the pass below
+        with np.errstate(over="ignore", invalid="ignore"):
+            thetas = grids[0][rows] * dirs[0]
+            if len(axes) == 2:
+                thetas = thetas + grids[1][rows] * dirs[1]
         values[rows], g, divergent[rows] = _stacked_cost_and_gradient(
             model_family(thetas), dataset, loss, with_gradient)
         if with_gradient:
             gnorms[rows] = np.linalg.norm(g, axis=1)
-    divergent |= divergent_costs(values)
     values[divergent] = np.nan
     if with_gradient:
         gnorms[divergent] = np.nan

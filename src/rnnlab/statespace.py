@@ -16,11 +16,13 @@ state Jacobian with a block of tangent vectors, from ``jacobians``.
 :class:`Rollout` of the forward pass, one row at a time; for a model
 stacking P points, one point at a time, on the point's ``with_params``
 model.  :func:`rollout` is the one forward loop: simulation, sweeps, the
-Lyapunov burn-in and the gradient route all step through it.  The
-package's cells derive no Jacobian by hand: each kind implements its step
-as ``_advance``, its transpose ``_step_adjoint`` and its tangent
-``step_tangent`` (A V from the step's own gates, without building A), and
-``cells._Cell`` takes ``jacobians`` and the reverse loop from them.
+Lyapunov burn-in and the gradient route all step through it, and
+``rollout(..., feedback=)`` is the closed loop, each output fed back as
+the next input.  The package's cells derive no Jacobian by hand: each
+kind implements its step as ``_advance``, its transpose ``_step_adjoint``
+and its tangent ``step_tangent`` (A V from the step's own gates, without
+building A), and ``cells._Cell`` takes ``jacobians`` and the reverse loop
+from them.
 """
 
 from __future__ import annotations
@@ -311,17 +313,6 @@ def simulate(model: DynamicalModel, x0, inputs) -> Trajectory:
     if x0.shape != (model.state_dim,):
         raise ValueError(f"x0 must have length {model.state_dim}")
     return _trajectory(rollout(model, x0, inputs))
-
-
-def simulate_closed_loop(model, x0, z0, horizon, feedback) -> Trajectory:
-    """Simulate with the output fed back into the input.
-
-    ``z[t+1] = feedback(y[t])`` where ``y[t] = g(x[t], z[t])``; the pair
-    ``(x, y)`` plays the role of an extended state, so attractors of this
-    loop may differ from those of the constant-input map.
-    """
-    z0 = np.asarray(z0, dtype=float).reshape(model.input_dim)
-    return _trajectory(rollout(model, x0, z0, horizon, feedback))
 
 
 def _trajectory(run: Rollout) -> Trajectory:

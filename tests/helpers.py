@@ -19,13 +19,14 @@ import numpy as np
 from rnnlab.cells import cell_to_dict
 from rnnlab.errors import DivergentCost, NonFiniteState
 from rnnlab.params import ParameterLayout, ParameterVector
-from rnnlab.sensitivity import SQUARED_ERROR, _as_dataset, cost, cost_and_gradient_reverse
-from rnnlab.smoothness import (
-    PAIR_SCALES,
-    EmpiricalLipschitz,
-    checked_cost,
+from rnnlab.sensitivity import (
+    SQUARED_ERROR,
+    _as_dataset,
+    cost,
+    cost_and_gradient_reverse,
     divergent_costs,
 )
+from rnnlab.smoothness import PAIR_SCALES, EmpiricalLipschitz, checked_cost
 from rnnlab.statespace import DynamicalModel, _as_input_array, simulate
 
 

@@ -6,16 +6,20 @@ from rnnlab.analysis import (
     check_entropy_bound,
     classify_attractor,
     entropy_linear_gaussian,
-    epoch_bifurcation,
     make_projection,
 )
 from rnnlab.cells import chaotic_reference_cell, make_cell
 from rnnlab.errors import NonFiniteState, SingularMatrix, TooFewSamples
-from rnnlab.statespace import argmax_onehot_feedback, simulate, simulate_closed_loop
+from rnnlab.statespace import argmax_onehot_feedback, rollout, simulate
 
 from helpers import FixedScalarLinear, LogisticMap, diagram_csv_by_element
 
 X0_REF = np.array([0.5, 0.5, 0.5, 0.5])
+
+
+def stacked(family, svals):
+    """The model of ``family`` stacking one row per sweep value."""
+    return family(np.array(svals, dtype=float)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +45,7 @@ def test_builtin_projections():
 
 def test_contractive_family_single_point_per_s():
     family = lambda s: FixedScalarLinear(0.5 * s)
-    diag = bifurcation_sweep(family, [0.2, 0.6, 1.0], np.zeros(0),
+    diag = bifurcation_sweep(stacked(family, [0.2, 0.6, 1.0]), [0.2, 0.6, 1.0], np.zeros(0),
                              np.array([1.0]), burn_in=200, record=20)
     for samp in diag.samples:
         assert not samp.diverged
@@ -54,7 +58,7 @@ def test_recorded_samples_respect_burn_in():
     family = lambda s: FixedScalarLinear(0.9)
     burn = 37
     record = 11
-    diag = bifurcation_sweep(family, [1.0], np.zeros(0), np.array([1.0]),
+    diag = bifurcation_sweep(stacked(family, [1.0]), [1.0], np.zeros(0), np.array([1.0]),
                              burn_in=burn, record=record)
     samp = diag.samples[0]
     assert len(samp.p) == record
@@ -82,7 +86,7 @@ def test_logistic_map_period_doubling():
     assert len(oracle_cycle(3.2)) == 2
 
     family = lambda r: LogisticMap(r)
-    diag = bifurcation_sweep(family, [2.8, 3.2, 3.5], np.zeros(0),
+    diag = bifurcation_sweep(stacked(family, [2.8, 3.2, 3.5]), [2.8, 3.2, 3.5], np.zeros(0),
                              np.array([0.4]), burn_in=2000, record=64)
     c1 = classify_attractor(diag.samples[0].p, tol=1e-8)
     c2 = classify_attractor(diag.samples[1].p, tol=1e-8)
@@ -100,7 +104,7 @@ def test_reference_band_has_multi_point_sets():
     theta = cell.params.values
     family = lambda s: cell.with_params(s * theta)
     svals = [0.2, 1.0, 1.15]
-    diag = bifurcation_sweep(family, svals, np.zeros(0), X0_REF,
+    diag = bifurcation_sweep(stacked(family, svals), svals, np.zeros(0), X0_REF,
                              burn_in=100, record=100)
     c_small = classify_attractor(diag.samples[0].p, tol=1e-6)
     c_mid = classify_attractor(diag.samples[1].p, tol=1e-6)
@@ -115,7 +119,7 @@ def test_divergent_sweep_value_is_marked_not_fatal():
         return FixedScalarLinear(np.where(s > 0.5, 10.0, 0.5))
 
     with np.errstate(over="ignore"):
-        diag = bifurcation_sweep(family, [0.0, 1.0], np.zeros(0),
+        diag = bifurcation_sweep(stacked(family, [0.0, 1.0]), [0.0, 1.0], np.zeros(0),
                                  np.array([1e300]), burn_in=5, record=5)
     assert not diag.samples[0].diverged
     assert diag.samples[1].diverged
@@ -127,8 +131,8 @@ def test_diagram_csv_is_the_file_of_the_sample_by_sample_writer(tmp_path):
         return FixedScalarLinear(np.where(s > 0.5, 10.0, s))
 
     with np.errstate(over="ignore"):
-        diag = bifurcation_sweep(family, [0.0, 1.0, 0.3], np.zeros(0),
-                                 np.array([1e300]), burn_in=5, record=5)
+        diag = bifurcation_sweep(stacked(family, [0.0, 1.0, 0.3]), [0.0, 1.0, 0.3],
+                                 np.zeros(0), np.array([1e300]), burn_in=5, record=5)
     assert [s.diverged for s in diag.samples] == [False, True, False]
     meta = {"spec_hash": "abc", "seed": 1}
     diag.to_csv(tmp_path / "fast.csv", meta=meta)
@@ -141,10 +145,12 @@ def _single_point_samples(model, x0, burn_in, record, u=None, feedback=None):
     """p and dp of one model, simulated alone (burn_in >= 1)."""
     total = burn_in + record
     if feedback is None:
-        traj = simulate(model, x0, np.zeros((total, model.input_dim)))
+        outputs = simulate(model, x0, np.zeros((total, model.input_dim))).outputs
     else:
-        traj = simulate_closed_loop(model, x0, u, total, feedback)
-    p_all = traj.outputs[burn_in - 1:, 0]
+        run = rollout(model, x0, u, total, feedback)
+        assert run.error() is None
+        outputs = run.outputs
+    p_all = outputs[burn_in - 1:, 0]
     return p_all[1:], p_all[1:] - p_all[:-1]
 
 
@@ -152,7 +158,7 @@ def test_batched_sweep_equals_single_points_bitwise_on_reference_ray():
     cell = chaotic_reference_cell()
     theta = cell.params.values
     svals = np.linspace(0.1, 1.6, 16)
-    diag = bifurcation_sweep(lambda s: cell.with_params(s * theta), svals,
+    diag = bifurcation_sweep(cell.with_params(svals[:, None] * theta), svals,
                              np.zeros(0), X0_REF, burn_in=50, record=20)
     for s, samp in zip(svals, diag.samples):
         p, dp = _single_point_samples(cell.with_params(s * theta), X0_REF, 50, 20)
@@ -165,7 +171,7 @@ def test_batched_sweep_reports_each_divergent_row_with_its_step():
     svals = [0.2, 0.7, 0.9, 1.2]
     growth = {0.2: 0.5, 0.7: 10.0, 0.9: 1e3, 1.2: 0.9}
     family = lambda s: FixedScalarLinear(np.vectorize(growth.get)(s))
-    diag = bifurcation_sweep(family, svals, np.zeros(0), np.array([1e300]),
+    diag = bifurcation_sweep(stacked(family, svals), svals, np.zeros(0), np.array([1e300]),
                              burn_in=5, record=5)
     for s, samp in zip(svals, diag.samples):
         try:
@@ -188,9 +194,9 @@ def test_batched_epoch_sweep_equals_single_closed_loops():
     thetas = [cell.params.values + 0.3 * rng.standard_normal(cell.n_params)
               for _ in range(4)]
     u = np.array([1.0, 0.0, 0.0])
-    diag = epoch_bifurcation(list(enumerate(thetas)), cell, u, np.zeros(8),
-                             burn_in=20, record=10, feedback="argmax")
     fb = argmax_onehot_feedback(3)
+    diag = bifurcation_sweep(cell.with_params(np.stack(thetas)), range(4), u, np.zeros(8),
+                             burn_in=20, record=10, feedback=fb)
     for theta, samp in zip(thetas, diag.samples):
         p, dp = _single_point_samples(cell.with_params(theta), np.zeros(8), 20, 10,
                                       u=u, feedback=fb)
@@ -201,8 +207,8 @@ def test_batched_epoch_sweep_equals_single_closed_loops():
 def test_epoch_bifurcation_over_snapshots():
     cell = chaotic_reference_cell()
     theta = cell.params.values
-    snapshots = [(0, 0.2 * theta), (100, 0.5 * theta), (200, 1.0 * theta)]
-    diag = epoch_bifurcation(snapshots, cell, np.zeros(0), X0_REF,
+    snapshots = cell.with_params(np.stack([0.2 * theta, 0.5 * theta, 1.0 * theta]))
+    diag = bifurcation_sweep(snapshots, [0, 100, 200], np.zeros(0), X0_REF,
                              burn_in=100, record=64)
     assert diag.sweep == [0.0, 100.0, 200.0]
     c0 = classify_attractor(diag.samples[0].p, tol=1e-6)
@@ -216,16 +222,16 @@ def test_epoch_bifurcation_argmax_feedback_runs_closed_loop():
 
     cell = make_cell("lstm", 4, n_input=3, bias=True, readout="linear",
                      n_output=3, init_seed=0)
-    snapshots = [(0, cell.params.values)]
+    snapshots = cell.with_params(cell.params.values[None])
     u = np.array([1.0, 0.0, 0.0])
-    diag = epoch_bifurcation(snapshots, cell, u, np.zeros(8),
-                             burn_in=20, record=10, feedback="argmax")
+    diag = bifurcation_sweep(snapshots, [0], u, np.zeros(8), burn_in=20, record=10,
+                             feedback=argmax_onehot_feedback(3))
     assert not diag.samples[0].diverged
 
 
 def test_diagram_csv_round_trip(tmp_path):
     family = lambda s: FixedScalarLinear(0.5)
-    diag = bifurcation_sweep(family, [1.0], np.zeros(0), np.array([1.0]),
+    diag = bifurcation_sweep(stacked(family, [1.0]), [1.0], np.zeros(0), np.array([1.0]),
                              burn_in=3, record=4)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"

@@ -254,6 +254,8 @@ def test_unparsable_values_are_config_errors(argv, tmp_path, capsys):
     ["train", "--epochs", "-1"],
     ["train", "--lr-drops", "5:nan"],
     ["train", "--lr-drops", "5:0"],
+    ["bifurcate", "--weights", REFERENCE, "--points", "3", "--range=-1e308:1e308"],
+    ["landscape", "--weights", REFERENCE, "--resolution", "3", "--range=-1e308:1e308"],
 ])
 def test_out_of_range_values_are_config_errors(argv, tmp_path, capsys):
     assert run(argv, tmp_path / "out") == cli.EXIT_CONFIG
@@ -476,3 +478,74 @@ def test_a_malformed_run_directory_is_a_config_error(snapshot, error, tmp_path, 
     assert run(argv, tmp_path / "diagram") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"config error: run directory {run_dir}" in err and error in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["bifurcate", "--sweep", "epoch", "--run-dir", "RUN", "--burn-in", "2", "--record", "2"],
+     ["--range", "0:3", "--points", "7"]),
+    (["bifurcate", "--sweep", "epoch", "--run-dir", "RUN", "--burn-in", "2", "--record", "2"],
+     ["--weights", REFERENCE]),
+    (["bifurcate", "--sweep", "epoch", "--run-dir", "RUN", "--burn-in", "2", "--record", "2"],
+     ["--cell", "vanilla", "--hidden", "3", "--inputs", "2", "--readout", "linear",
+      "--outputs", "2"]),
+    (["bifurcate", "--weights", REFERENCE, "--points", "2", "--burn-in", "2", "--record", "2"],
+     ["--run-dir", "RUN"]),
+    (["simulate", "--weights", REFERENCE, "--steps", "5"],
+     ["--cell", "lstm", "--hidden", "3", "--inputs", "1", "--outputs", "2"]),
+], ids=["epoch-range_points", "epoch-weights", "epoch-cell", "s-run_dir", "weights-cell"])
+def test_an_option_the_run_does_not_read_leaves_the_spec_hash(argv, unread, sine_run,
+                                                              tmp_path):
+    argv = [sine_run if a == "RUN" else a for a in argv]
+    unread = [sine_run if a == "RUN" else a for a in unread]
+    assert run(argv, tmp_path / "without") == cli.EXIT_OK
+    assert run(argv + unread, tmp_path / "with") == cli.EXIT_OK
+    assert tree(tmp_path / "without") == tree(tmp_path / "with")
+
+
+@pytest.mark.parametrize("sweep", [["--weights", REFERENCE, "--points", "2"],
+                                   ["--sweep", "epoch", "--run-dir", "RUN"]], ids=["s", "epoch"])
+def test_argmax_feedback_needs_a_model_with_inputs(sweep, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    (run_dir / "snapshots").mkdir(parents=True)
+    shutil.copy(REFERENCE, run_dir / "snapshots" / "epoch_0.json")
+    argv = ["bifurcate"] + [str(run_dir) if a == "RUN" else a for a in sweep]
+    assert run(argv + ["--feedback", "argmax"], tmp_path / "out") == cli.EXIT_CONFIG
+    assert ("config error: feedback: argmax needs a model with inputs"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_s_sweep_with_argmax_feedback_gives_each_row_of_its_own_closed_loop(tmp_path):
+    from rnnlab.cells import make_cell
+    from rnnlab.statespace import argmax_onehot_feedback, rollout
+
+    burn_in, record = 8, 5
+    assert run(["bifurcate", "--cell", "lstm", "--hidden", "3", "--inputs", "2",
+                "--outputs", "2", "--range", "0.5:1.5", "--points", "3", "--burn-in",
+                str(burn_in), "--record", str(record), "--input", "1,0",
+                "--feedback", "argmax"], tmp_path) == cli.EXIT_OK
+    rows = read_rows(tmp_path / "bifurcation.csv")
+    cell = make_cell("lstm", 3, n_input=2, bias=True, readout="linear", n_output=2,
+                     init_seed=0)
+    for i, s in enumerate(np.linspace(0.5, 1.5, 3)):
+        one = rollout(cell.with_params((s * cell.params.values)[None]),
+                      cell.initial_state()[None], np.array([[1.0, 0.0]]),
+                      burn_in + record, argmax_onehot_feedback(2))
+        p = one.outputs[burn_in - 1:, 0, 0]
+        want = [[s, p[t + 1], p[t + 1] - p[t]] for t in range(record)]
+        assert rows[i * record:(i + 1) * record] == want
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["landscape", "--weights", REFERENCE, "--resolution", "5", "--steps", "10", "--grad"],
+     "landscape.csv"),
+    (["bifurcate", "--weights", REFERENCE, "--points", "5", "--burn-in", "5",
+      "--record", "5"], "bifurcation.csv"),
+])
+def test_a_ray_point_whose_theta_overflows_diverges_without_a_float_warning(argv, csv,
+                                                                          tmp_path):
+    # tier-1 turns a RuntimeWarning into an error, so a leaked one fails the run
+    assert run(argv + ["--range", "0:1e308", "--x0", X0], tmp_path) == cli.EXIT_OK
+    lines = [ln for ln in (tmp_path / csv).read_text().splitlines() if ln[0] != "#"]
+    assert lines[1].split(",")[1] not in ("nan", "diverged")
+    assert lines[-1].split(",")[:2] in (["1e+308", "nan"], ["1e+308", "diverged"])

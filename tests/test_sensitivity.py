@@ -6,6 +6,7 @@ import pytest
 from rnnlab.cells import make_cell
 from rnnlab.errors import LengthMismatch, NonFiniteState
 from rnnlab.sensitivity import (
+    DIVERGENT_COST_BOUND,
     SIGMOID_CROSS_ENTROPY,
     SQUARED_ERROR,
     Sequence,
@@ -472,13 +473,15 @@ def test_stacked_pass_reports_a_divergent_row_and_keeps_the_others(kind):
 
 
 def test_stacked_pass_gives_no_gradient_for_a_divergent_cost():
-    # x_t = t g: at g = 1e157 the cost (~1e318) overflows while the gradient stays finite
+    # x_t = t g: at g = 1e157 the cost (~1e318) overflows while the gradient stays
+    # finite; at g = 1e52 the cost (~8e106) is finite but above DIVERGENT_COST_BOUND
     model = DrivenScalar(1.0, a=1.0)
     seqs = [Sequence(np.ones((50, 1)), np.zeros(50), x0=np.array([0.0]))]
     values, grads, diverged = cost_and_gradient_reverse(
-        model.with_params(np.array([[0.5], [1e157]])), seqs)
-    assert list(diverged) == [False, True] and np.isinf(values[1])
-    assert np.isnan(grads[1]).all()
+        model.with_params(np.array([[0.5], [1e157], [1e52]])), seqs)
+    assert list(diverged) == [False, True, True] and np.isinf(values[1])
+    assert DIVERGENT_COST_BOUND < values[2] < np.inf
+    assert np.isnan(grads[1:]).all()
     assert grads[0] == gradient(DrivenScalar(0.5, a=1.0), seqs)
 
 

@@ -429,6 +429,21 @@ def test_divergent_grid_points_are_marked():
     assert np.isnan(grid.values[[i for (i,) in [(d,) if np.isscalar(d) else d for d in grid.divergent]]]).all()
 
 
+def test_a_ray_point_whose_theta_overflows_diverges_without_a_float_warning():
+    # tier-1 turns a RuntimeWarning into an error, so a leaked one fails the sweep
+    from rnnlab.cells import chaotic_reference_cell
+
+    cell = chaotic_reference_cell()
+    theta = cell.params.values
+    ds = [Sequence(np.zeros((10, 0)), np.zeros((10, cell.output_dim)), x0=np.full(4, 0.5))]
+    line = landscape_sweep(cell.with_params, ds, SQUARED_ERROR, [("true", theta)],
+                           [(0.0, 1e308)], 5, with_gradient=True)
+    assert line.divergent == [1, 2, 3, 4]
+    plane = landscape_sweep(cell.with_params, ds, SQUARED_ERROR,
+                            [("true", theta), ("random", -theta)], [(0.0, 1e308)] * 2, 2)
+    assert plane.divergent == [(0, 1), (1, 0), (1, 1)]
+
+
 def _single_points(family, dataset, thetas, with_gradient):
     """Cost, gradient norm and divergence of each theta evaluated alone."""
     values, norms, divergent = [], [], []

@@ -11,7 +11,6 @@ from rnnlab.statespace import (
     lyapunov_exponent,
     rollout,
     simulate,
-    simulate_closed_loop,
 )
 
 from helpers import (
@@ -68,9 +67,9 @@ def test_simulate_divergence_raises_with_step():
 def test_closed_loop_identity_holds_state():
     model = FeedthroughMap(dim=2)
     c = np.array([0.3, -0.7])
-    traj = simulate_closed_loop(model, c, c, horizon=10, feedback=lambda y: y)
-    assert np.allclose(traj.states, c, atol=0, rtol=0)
-    assert np.allclose(traj.outputs, c, atol=0, rtol=0)
+    run = rollout(model, c, c, horizon=10, feedback=lambda y: y)
+    assert np.allclose(run.states, c, atol=0, rtol=0)
+    assert np.allclose(run.outputs, c, atol=0, rtol=0)
 
 
 def test_closed_loop_argmax_feedback_is_one_hot():
@@ -84,10 +83,10 @@ def test_closed_loop_argmax_feedback_is_one_hot():
 
     model = FourOut(dim=4)
     fb = argmax_onehot_feedback(4)
-    traj = simulate_closed_loop(model, np.array([0.1, 0.9, 0.2, 0.0]),
-                                np.zeros(4), horizon=6, feedback=fb)
-    for t in range(1, len(traj)):
-        row = traj.inputs[t]
+    run = rollout(model, np.array([0.1, 0.9, 0.2, 0.0]), np.zeros(4), horizon=6,
+                  feedback=fb)
+    for t in range(1, len(run.inputs)):
+        row = run.inputs[t]
         assert row.sum() == 1.0 and set(np.unique(row)) <= {0.0, 1.0}
 
 
@@ -141,10 +140,9 @@ def test_closed_loop_rows_report_a_non_finite_input():
     run = rollout(model, x0, np.zeros(1), horizon=3, feedback=feedback)
     assert run.diverged_at.tolist() == [1, -1]
     assert run.diverged_what.tolist() == ["input", ""]
-    with pytest.raises(NonFiniteState) as err:
-        simulate_closed_loop(model, x0[0], np.zeros(1), 3, feedback)
-    assert (err.value.step, err.value.what) == (1, "input")
-    one = simulate_closed_loop(model, x0[1], np.zeros(1), 3, feedback)
+    err = rollout(model, x0[0], np.zeros(1), 3, feedback).error()
+    assert (err.step, err.what) == (1, "input")
+    one = rollout(model, x0[1], np.zeros(1), 3, feedback)
     assert np.array_equal(run.outputs[:, 1], one.outputs)
     assert np.array_equal(run.inputs[:, 1], one.inputs)
 
