@@ -420,6 +420,12 @@ def cmd_bifurcate(opts, spec):
         spec["run_dir"] = [[e, c.params.theta_hash()] for e, c in snapshots]
         sweep = [e for e, _ in snapshots]
         base = snapshots[0][1]
+        kinds = [{k: v for k, v in cell_to_dict(c).items() if k != "blocks"}
+                 for _, c in snapshots]
+        for e, kind in zip(sweep, kinds):
+            if kind != kinds[0]:
+                raise ConfigError(f"run directory {run_dir}: the epoch {e} snapshot is "
+                                  f"not a cell of the kind and size of epoch {sweep[0]}")
         model = base.with_params(np.stack([c.params.values for _, c in snapshots]))
         x0 = _resolve_x0(opts, spec, base, base.initial_state())
     u = _constant_inputs(model, opts.input, 1)[0]

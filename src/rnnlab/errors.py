@@ -11,8 +11,9 @@ class NonFiniteState(RnnLabError):
     Divergence is a finding, not a nuisance: callers that sweep over
     parameters catch this and record the offending point instead of
     clamping.  Only IEEE inf/NaN raises it; a large but finite state
-    (say 1e300 under a contracting map) does not.  A cost evaluation
-    that raises it counts as divergent, as defined in :class:`DivergentCost`.
+    (say 1e300 under a contracting map) does not.  The cost and gradient
+    pass raises it with the step and quantity ("state", "output", "input")
+    of the first non-finite value, or as step 0 "gradient".
     """
 
     def __init__(self, step, what="state"):
@@ -38,12 +39,12 @@ class SingularMatrix(RnnLabError, ValueError):
 
 
 class DivergentCost(RnnLabError):
-    """Cost evaluation diverged at a sampled parameter point.
+    """A cost is non-finite or above ``sensitivity.DIVERGENT_COST_BOUND``.
 
-    The one definition every cost sweep applies: an evaluation diverges
-    when its simulation raises :class:`NonFiniteState`, or when the cost
-    is non-finite or above ``sensitivity.DIVERGENT_COST_BOUND``.  The bound
-    is on the cost, not on the state.
+    Part of the one divergence rule of ``sensitivity``, with
+    :class:`NonFiniteState`: ``cost``, ``gradient`` and training raise it
+    for a single point, and a stacked sweep marks the row.  The bound is on
+    the cost, not on the state.
     """
 
 

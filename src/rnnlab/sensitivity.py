@@ -1,20 +1,23 @@
 """Datasets, losses, the cost and its gradient.
 
-Gradients have one route, reverse accumulation (back-propagation through
-time): a batch of sequences runs forward through one
+The cost, its gradient and "diverged" come from one pass over the rows of
+a model: () under a shared theta, (P,) under a stacked one.  Each group of
+equally shaped sequences runs forward through one
 :func:`~rnnlab.statespace.rollout`, and the model's ``backward_batch``
 carries dL/dx back from the last step,
 
     dtheta += B[t]^T dx + F[t]^T dy[t],   dx <- A[t]^T dx + C[t]^T dy[t],
 
 at O(N * N_x^2) per sequence; a cell carries dx back through the adjoint
-of its step, never building A or B.  The landscape, the empirical
-Lipschitz estimates and training all take it.  Training runs a batch of
-sequences under one theta.  The landscape and the Lipschitz estimates run
-a model stacking all their points: the same two passes give every point's
-cost and gradient, and which points diverged.  Forward sensitivity
+of its step, never building A or B.  :func:`cost` is the forward half of
+the pass over a one-row stack; training takes it under one theta, and the
+landscape and the Lipschitz estimates over all their points stacked.  The
+one divergence rule: a point diverges when a state, output or input is
+NaN/Inf, when its cost is non-finite or above :data:`DIVERGENT_COST_BOUND`,
+or when its gradient is NaN/Inf.  A single point raises for it, a stacked
+row is marked.  The cost one simulation per sequence, forward sensitivity
 propagation (D[t+1] = A[t] D[t] + B[t]) and central finite differences are
-kept in ``tests/helpers.py`` as the oracles the route is checked against.
+kept in ``tests/helpers.py`` as the oracles the pass is checked against.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from .errors import LengthMismatch, NonFiniteState
-from .statespace import rollout, simulate
+from .errors import DivergentCost, LengthMismatch, NonFiniteState
+from .statespace import rollout, simulate  # noqa: F401 (a test checks the pass never calls it)
 
 
 # ---------------------------------------------------------------------------
@@ -127,48 +130,26 @@ LOSSES = {loss.kind: loss for loss in (SQUARED_ERROR, SIGMOID_CROSS_ENTROPY)}
 
 
 # ---------------------------------------------------------------------------
-# cost and gradients
+# the cost and its gradient: one pass
 # ---------------------------------------------------------------------------
 
 
-def sequence_costs(outputs, seq, loss):
-    """Masked average loss of simulated outputs (n, *rows, N_y) per row.
+DIVERGENT_COST_BOUND = 1e100
+"""Costs above this count as divergent, like non-finite ones.
 
-    Steps are summed in time order, so every row of a stacked simulation
-    gets exactly the cost a single simulation of that row gets.
-    """
-    if outputs.shape[-1] != seq.targets.shape[1]:
-        raise LengthMismatch(
-            f"model outputs {outputs.shape[-1]} values, targets have "
-            f"{seq.targets.shape[1]}"
-        )
-    idx = np.flatnonzero(seq.mask)
-    if idx.size == 0:
-        raise LengthMismatch("mask selects no steps")
-    rows = outputs.shape[1:-1]
-    targets = seq.targets[idx].reshape((idx.size,) + (1,) * len(rows) + (-1,))
-    if idx.size < len(outputs):
-        outputs = outputs[idx]
-    per_step = loss.value(outputs, targets)
-    return np.add.accumulate(per_step, axis=0)[-1] / idx.size
+The package's cells have bounded hidden states (|h| <= 1 under tanh and
+sigmoid gating) and affine readouts, so a squared-error cost stays below
+(|W_out| sqrt(H) + |b_out| + |y|)^2: reaching 1e100 takes an output
+residual of 1e50, which only an expanding state produces.  The bound
+also leaves room in float64 (max ~1.8e308) for what a sweep derives from
+a point: a gradient that grows like the residual times its sensitivity,
+and Lipschitz ratios of such values over pair distances down to 1e-6.
+"""
 
 
-def mean_over_sequences(costs):
-    """Uniform average of per-sequence costs, summed in dataset order."""
-    return np.add.accumulate(np.asarray(costs), axis=0)[-1] / len(costs)
-
-
-def cost(model, dataset, loss=SQUARED_ERROR):
-    """Masked per-sequence average loss, averaged uniformly over sequences."""
-    dataset = _as_dataset(dataset)
-    costs = [sequence_costs(simulate(model, s.start_state(model), s.inputs).outputs,
-                            s, loss) for s in dataset]
-    return float(mean_over_sequences(costs))
-
-
-# ---------------------------------------------------------------------------
-# gradients: reverse accumulation
-# ---------------------------------------------------------------------------
+def divergent_costs(v):
+    """Where a cost is non-finite or above :data:`DIVERGENT_COST_BOUND`."""
+    return ~np.isfinite(v) | (v > DIVERGENT_COST_BOUND)
 
 
 def _stack_batch(dataset, model):
@@ -190,91 +171,104 @@ def _batches(dataset, model):
         yield ks, _stack_batch([dataset[k] for k in ks], model)
 
 
-def _loss_weights(M, n_sequences):
-    """Per-step weights 1/(n_sequences * n_masked) that make the weighted loss sum the cost."""
-    n_masked = M.sum(axis=0).astype(float)          # per sequence
-    if np.any(n_masked == 0):
-        raise LengthMismatch("mask selects no steps")
-    return M / (n_sequences * n_masked[None, :])
+def _pass(model, dataset, loss, with_gradient):
+    """The cost and gradient of every row of ``model``, with its divergence.
+
+    The rows are () under a shared theta and (P,) under a stacked one.  Each
+    group of equally shaped sequences runs through one
+    :func:`~rnnlab.statespace.rollout` over (T, B, *rows) arrays and, with
+    ``with_gradient``, one ``backward_batch``.  A sequence's cost is its
+    masked losses summed in time order by one ``np.add.accumulate`` (a
+    masked-out step adds 0.0), over the number of masked steps; the cost is
+    the mean over sequences, summed in dataset order.  Returns per row the
+    cost, the gradient (None without ``with_gradient``; NaN where the row
+    diverged, by the rule of :func:`cost_and_gradient_reverse`), whether it
+    diverged, and the step and quantity of its first NaN/Inf state, output
+    or input (-1 and "" for none).
+    """
+    rows = model.params.values.shape[:-1]
+    lead = (1,) * len(rows)
+    costs = np.empty((len(dataset),) + rows)
+    at = np.empty((len(dataset),) + rows, dtype=int)
+    what = np.empty((len(dataset),) + rows, dtype=object)
+    grad = np.zeros(rows + (model.n_params,)) if with_gradient else None
+    dead = np.zeros(rows, dtype=bool)
+    with np.errstate(all="ignore"):  # a row that overflows must not stop the others
+        for ks, (Z, Y, M, X0) in _batches(dataset, model):
+            if Y.shape[-1] != model.output_dim:
+                raise LengthMismatch(
+                    f"model outputs {model.output_dim} values, targets have {Y.shape[-1]}")
+            n_masked = M.sum(axis=0).astype(float)
+            if not n_masked.all():
+                raise LengthMismatch("mask selects no steps")
+            X0 = np.broadcast_to(X0.reshape((len(ks),) + lead + (-1,)),
+                                 (len(ks),) + rows + (model.state_dim,))
+            Z, Y = (a.reshape(a.shape[:2] + lead + a.shape[2:]) for a in (Z, Y))
+            run = rollout(model, X0, Z, keep_states=with_gradient)
+            per_step = np.where(M.reshape(M.shape + lead), loss.value(run.outputs, Y), 0.0)
+            costs[ks] = np.add.accumulate(per_step)[-1] / n_masked.reshape((-1,) + lead)
+            at[ks], what[ks] = run.diverged_at, run.diverged_what
+            dead |= run.diverged.any(axis=0)
+            if with_gradient and not dead.all():
+                w = (M / (len(dataset) * n_masked)).reshape(M.shape + lead + (1,))
+                grad += model.backward_batch(run, w * loss.derivative(run.outputs, Y))
+        values = np.add.accumulate(costs)[-1] / len(dataset)
+    first = np.where(at >= 0, at, np.iinfo(int).max).argmin(axis=0)[None]
+    step = np.take_along_axis(at, first, 0)[0]
+    diverged = (step >= 0) | divergent_costs(values)
+    if with_gradient:
+        diverged |= ~np.isfinite(grad).all(axis=-1)
+        grad[diverged] = np.nan
+    return values, grad, diverged, step, np.take_along_axis(what, first, 0)[0]
+
+
+def _one_row(values, grad, step, what):
+    """The cost and gradient of a one-row pass, or the error its divergence raises."""
+    value, step, what = (np.ravel(a)[0] for a in (values, step, what))
+    if step >= 0:
+        raise NonFiniteState(step, what)
+    if divergent_costs(value):
+        raise DivergentCost(f"cost {float(value)!r} exceeds {DIVERGENT_COST_BOUND:g}")
+    if grad is not None and not np.isfinite(grad).all():
+        raise NonFiniteState(0, "gradient")
+    return float(value), grad
+
+
+def cost(model, dataset, loss=SQUARED_ERROR):
+    """Masked per-sequence average loss, averaged uniformly over sequences.
+
+    The forward half of the pass over the one-row stack of ``model``, so bit
+    for bit the cost of this point in a stacked sweep; raises
+    :class:`NonFiniteState` or :class:`DivergentCost` as
+    :func:`cost_and_gradient_reverse` does."""
+    values, _, _, step, what = _pass(model.with_params(model.params.values[None]),
+                                     _as_dataset(dataset), loss, False)
+    return _one_row(values, None, step, what)[0]
 
 
 def cost_and_gradient_reverse(model, dataset, loss=SQUARED_ERROR):
     """The cost and its gradient, from one :func:`~rnnlab.statespace.rollout`
     and one ``backward_batch`` per group of equally shaped sequences.
 
-    Each sequence keeps its weight in :func:`cost`.  Raises
+    Divergence has one rule, the same for every caller: a point diverges
+    when a state, output or input of its simulation is NaN/Inf, when its
+    cost is non-finite or above :data:`DIVERGENT_COST_BOUND`, or when its
+    gradient is NaN/Inf.  Under one theta the pass raises for it:
     :class:`NonFiniteState` with the step and quantity of the first
-    divergence, or when the gradient is NaN/Inf.
+    non-finite value, :class:`DivergentCost` for the cost, and
+    ``NonFiniteState(0, "gradient")`` for the gradient.
 
     A model stacking P points (``with_params`` of a (P, N_theta) matrix)
     runs all of them in the same two passes and returns their costs (P,),
-    gradients (P, N_theta) and a mask (P,) of the rows that diverged: a
-    NaN/Inf state, output or gradient, or a cost that
-    :func:`divergent_costs` rejects.  It raises for none of them; their
-    gradients are NaN.  Each cost is :func:`cost` of its point alone,
-    summed the same way; each gradient is that of its point up to rounding.
+    gradients (P, N_theta) and a mask (P,) of the rows that diverged.  It
+    raises for none of them; their gradients are NaN.  Each cost is
+    :func:`cost` of its point alone, bit for bit; each gradient is that of
+    its point up to rounding.
     """
-    dataset = _as_dataset(dataset)
+    values, grad, diverged, step, what = _pass(model, _as_dataset(dataset), loss, True)
     if model.params.values.ndim == 2:
-        return _stacked_cost_and_gradient(model, dataset, loss)
-    value, grad = 0.0, np.zeros(model.n_params)
-    for _, (Z, Y, M, X0) in _batches(dataset, model):
-        run = rollout(model, X0, Z)                     # outputs (T, B, N_y)
-        if run.outputs.shape[-1] != Y.shape[-1]:
-            raise LengthMismatch(f"{run.outputs.shape[-1]} outputs, {Y.shape[-1]} targets")
-        if run.diverged.any():
-            raise run.error(np.argmin(np.where(run.diverged, run.diverged_at, len(Z))))
-        w = _loss_weights(M, len(dataset))
-        value += float(np.sum(w * loss.value(run.outputs, Y)))
-        grad += model.backward_batch(run, w[:, :, None] * loss.derivative(run.outputs, Y))
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteState(0, "gradient")
-    return value, grad
-
-
-DIVERGENT_COST_BOUND = 1e100
-"""Costs above this count as divergent, like non-finite ones.
-
-The package's cells have bounded hidden states (|h| <= 1 under tanh and
-sigmoid gating) and affine readouts, so a squared-error cost stays below
-(|W_out| sqrt(H) + |b_out| + |y|)^2: reaching 1e100 takes an output
-residual of 1e50, which only an expanding state produces.  The bound
-also leaves room in float64 (max ~1.8e308) for what a sweep derives from
-a point: a gradient that grows like the residual times its sensitivity,
-and Lipschitz ratios of such values over pair distances down to 1e-6.
-"""
-
-
-def divergent_costs(v):
-    """Where a cost is non-finite or above :data:`DIVERGENT_COST_BOUND`."""
-    return ~np.isfinite(v) | (v > DIVERGENT_COST_BOUND)
-
-
-def _stacked_cost_and_gradient(model, dataset, loss, with_gradient=True):
-    """:func:`cost_and_gradient_reverse` of a stacked model, over (T, B, P, ...)
-    arrays; without ``with_gradient`` its forward half, with gradients None.
-    A group whose rows all diverged stopped early and is not run backward."""
-    P = model.params.values.shape[0]
-    costs = [None] * len(dataset)
-    grad = np.zeros((P, model.n_params)) if with_gradient else None
-    diverged = np.zeros(P, dtype=bool)
-    with np.errstate(all="ignore"):  # a row that overflows must not stop the others
-        for ks, (Z, Y, M, X0) in _batches(dataset, model):
-            X0 = np.broadcast_to(X0[:, None], (len(ks), P, model.state_dim))
-            run = rollout(model, X0, Z[:, :, None], keep_states=with_gradient)
-            for b, k in enumerate(ks):
-                costs[k] = sequence_costs(run.outputs[:, b], dataset[k], loss)
-            diverged |= run.diverged.any(axis=0)
-            if with_gradient and not run.diverged.all():
-                w = _loss_weights(M, len(dataset))[:, :, None, None]
-                grad += model.backward_batch(
-                    run, w * loss.derivative(run.outputs, Y[:, :, None]))
-        values = mean_over_sequences(costs)
-    diverged |= divergent_costs(values)
-    if with_gradient:
-        diverged |= ~np.isfinite(grad).all(axis=1)
-        grad[diverged] = np.nan
-    return values, grad, diverged
+        return values, grad, diverged
+    return _one_row(values, grad, step, what)
 
 
 def gradient(model, dataset, loss=SQUARED_ERROR):

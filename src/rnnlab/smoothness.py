@@ -20,16 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergentCost, NonFiniteState
 from .jsontext import FloatRows, write_csv
-from .sensitivity import (
-    DIVERGENT_COST_BOUND,
-    SQUARED_ERROR,
-    _as_dataset,
-    _stacked_cost_and_gradient,
-    cost,
-    divergent_costs,
-)
+from .sensitivity import SQUARED_ERROR, _as_dataset, _pass
 
 # ---------------------------------------------------------------------------
 # closed-form bound calculators
@@ -177,25 +169,6 @@ def bound_report(c: SmoothnessConstants) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# divergent evaluations
-# ---------------------------------------------------------------------------
-
-def checked_cost(model, dataset, loss=SQUARED_ERROR) -> float:
-    """Cost of ``model`` on ``dataset``, or :class:`DivergentCost`.
-
-    The evaluation diverges when simulation raises :class:`NonFiniteState`,
-    or when the cost is non-finite or above :data:`DIVERGENT_COST_BOUND`.
-    """
-    try:
-        v = cost(model, dataset, loss)
-    except NonFiniteState as err:
-        raise DivergentCost(f"cost diverged: {err}") from err
-    if divergent_costs(v):
-        raise DivergentCost(f"cost {v!r} exceeds {DIVERGENT_COST_BOUND:g}")
-    return v
-
-
-# ---------------------------------------------------------------------------
 # empirical Lipschitz estimation
 # ---------------------------------------------------------------------------
 
@@ -229,12 +202,13 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
     max badly underestimates the local spikes near chaotic regions).  The
     scales (``PAIR_SCALES``) are absolute: a pair whose perturbation is lost
     in rounding, its two points equal, is neither used nor counted.
-    Deterministic for a given seed.  Pairs with a divergent evaluation (as
-    defined by :func:`checked_cost`, or a non-finite gradient) are skipped
-    and counted in ``n_divergent``.  ``model_family`` is called once, with
-    the (2 n_pairs, N_theta) matrix of every pair's two points, and returns
-    the model stacking them; one forward pass over the stack gives every
-    cost, and with ``with_gradient`` one reverse pass gives the gradients.
+    Deterministic for a given seed.  Pairs with a divergent point (by the
+    one rule of :func:`~rnnlab.sensitivity.cost_and_gradient_reverse`) are
+    skipped and counted in ``n_divergent``.  ``model_family`` is called
+    once, with the (2 n_pairs, N_theta) matrix of every pair's two points,
+    and returns the model stacking them; one forward pass over the stack
+    gives every cost, and with ``with_gradient`` one reverse pass gives the
+    gradients.
     """
     if n_pairs < 10:
         raise ValueError("n_pairs must be >= 10")
@@ -256,8 +230,7 @@ def empirical_lipschitz_V(model_family, dataset, loss=SQUARED_ERROR,
             b[k] = a[k] + scale * rng.standard_normal(lo.size)
 
     model = model_family(np.concatenate([a, b]))
-    v, g, divergent = _stacked_cost_and_gradient(model, _as_dataset(dataset), loss,
-                                                 with_gradient)
+    v, g, divergent, _, _ = _pass(model, _as_dataset(dataset), loss, with_gradient)
     dist = _row_norms(a - b)
     drawn = dist > 0.0
     used = drawn & ~divergent[:n] & ~divergent[n:]
@@ -289,9 +262,10 @@ floats, which is more than any of the package's cells keeps.
 class LandscapeGrid:
     """Cost over a 1-D or 2-D grid of parameter-ray coordinates.
 
-    ``values`` is (n1,) or (n1, n2); divergent points (as defined by
-    :func:`checked_cost`) are NaN and listed in ``divergent`` (grid
-    indices), since divergence is itself a landscape feature.
+    ``values`` is (n1,) or (n1, n2); divergent points (by the one rule of
+    :func:`~rnnlab.sensitivity.cost_and_gradient_reverse`) are NaN and
+    listed in ``divergent`` (grid indices), since divergence is itself a
+    landscape feature.
     """
 
     axes_names: list
@@ -353,7 +327,7 @@ def landscape_sweep(model_family, dataset, loss, axes, ranges, resolution,
             thetas = grids[0][rows] * dirs[0]
             if len(axes) == 2:
                 thetas = thetas + grids[1][rows] * dirs[1]
-        values[rows], g, divergent[rows] = _stacked_cost_and_gradient(
+        values[rows], g, divergent[rows], _, _ = _pass(
             model_family(thetas), dataset, loss, with_gradient)
         if with_gradient:
             gnorms[rows] = np.linalg.norm(g, axis=1)

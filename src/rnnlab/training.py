@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cells import StableLstmCell, cell_from_dict, cell_to_dict, project_stable
-from .errors import ConfigError, NonFiniteState
+from .errors import ConfigError, DivergentCost, NonFiniteState
 from .jsontext import write_csv, write_json
 from .sensitivity import (
     SIGMOID_CROSS_ENTROPY,
@@ -78,6 +78,10 @@ class Task:
         raise NotImplementedError
 
     def baseline(self):
+        raise NotImplementedError
+
+    def metadata(self):
+        """The task's description in a run directory's ``config.json``."""
         raise NotImplementedError
 
 
@@ -284,8 +288,9 @@ def train(model, task: Task, config: TrainConfig):
     """Adam training with clipping, drops, snapshots, and optional projection.
 
     Returns the trained model and a :class:`TrainRun`.  A stable LSTM is
-    re-projected after every update; a non-finite loss or gradient aborts
-    with the epoch and batch recorded in the exception.
+    re-projected after every update; a batch that diverges (see
+    :func:`~rnnlab.sensitivity.cost_and_gradient_reverse`) aborts with the
+    epoch and batch recorded in the exception.
     """
     rng = np.random.default_rng(config.seed)
     data = task.train
@@ -310,12 +315,13 @@ def train(model, task: Task, config: TrainConfig):
         pre_norms = []
         for start in range(0, n, batch_size):
             batch = [data[i] for i in order[start : start + batch_size]]
+            where = f"(epoch {epoch}, batch {start // batch_size})"
             try:
                 value, grad = cost_and_gradient_reverse(model, batch, task.loss)
             except NonFiniteState as err:
-                raise NonFiniteState(
-                    err.step, f"{err.what} (epoch {epoch}, batch {start // batch_size})"
-                ) from err
+                raise NonFiniteState(err.step, f"{err.what} {where}") from err
+            except DivergentCost as err:
+                raise DivergentCost(f"{err} {where}") from err
             losses.append(value)
             grad, pre = clip_global_norm(grad, config.clip_norm)
             pre_norms.append(pre)
@@ -349,7 +355,7 @@ def train(model, task: Task, config: TrainConfig):
         snapshots=snapshots,
         config=config,
         cell_doc=cell_to_dict(model),
-        task_meta=task.metadata() if hasattr(task, "metadata") else {"task": task.name},
+        task_meta=task.metadata(),
         stopped_early=stopped,
     )
     return model, run
@@ -389,10 +395,11 @@ def save_run(run: TrainRun, out_dir, extra_meta=None):
 
 
 def load_snapshots(run_dir):
-    """Read back the [(epoch, cell)] snapshots of a run directory, by epoch."""
+    """Read back the [(epoch, cell)] snapshots of a run directory, by epoch:
+    none when it has no ``snapshots`` directory."""
     snap_dir = os.path.join(run_dir, "snapshots")
     snapshots = []
-    for fname in os.listdir(snap_dir):
+    for fname in os.listdir(snap_dir) if os.path.isdir(snap_dir) else ():
         if not fname.startswith("epoch_"):
             continue
         epoch = int(fname[len("epoch_"):-len(".json")])

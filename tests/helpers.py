@@ -1,8 +1,9 @@
 """Small hand-checkable models and the oracles for the tests.
 
 The library takes gradients by reverse accumulation only.  The oracles it
-is checked against live here: forward sensitivity propagation (RTRL) and
-central finite differences, of the Jacobians and of the cost.  So do the
+is checked against live here: the cost one simulation per sequence,
+forward sensitivity propagation (RTRL) and central finite differences, of
+the Jacobians and of the cost.  So do the
 Lyapunov exponent from full state Jacobians, which the library forms as
 tangent products instead, the empirical Lipschitz estimate one point at a
 time, which the library takes from one stacked pass, and the
@@ -26,7 +27,7 @@ from rnnlab.sensitivity import (
     cost_and_gradient_reverse,
     divergent_costs,
 )
-from rnnlab.smoothness import PAIR_SCALES, EmpiricalLipschitz, checked_cost
+from rnnlab.smoothness import PAIR_SCALES, EmpiricalLipschitz
 from rnnlab.statespace import DynamicalModel, _as_input_array, simulate
 
 
@@ -281,8 +282,21 @@ def rel_err(got, want):
 
 
 # ---------------------------------------------------------------------------
-# gradient oracles
+# cost and gradient oracles
 # ---------------------------------------------------------------------------
+
+
+def reference_cost(model, dataset, loss=SQUARED_ERROR):
+    """The cost one sequence at a time: one ``simulate`` per sequence, its
+    masked steps selected and their losses summed in time order over their
+    number, then the mean over sequences, summed in dataset order."""
+    costs = []
+    for seq in _as_dataset(dataset):
+        outputs = simulate(model, seq.start_state(model), seq.inputs).outputs
+        idx = np.flatnonzero(seq.mask)
+        per_step = loss.value(outputs[idx], seq.targets[idx])
+        costs.append(np.add.accumulate(per_step)[-1] / idx.size)
+    return float(np.add.accumulate(costs)[-1] / len(costs))
 
 
 @dataclass
@@ -513,7 +527,7 @@ def empirical_lipschitz_V_per_point(model_family, dataset, loss=SQUARED_ERROR,
                                     theta_low=None, theta_high=None, n_pairs=50,
                                     rng_seed=0, with_gradient=True):
     """``empirical_lipschitz_V`` drawing and evaluating its pairs one by one:
-    ``model_family`` of one flat theta, and :func:`checked_cost` or one
+    ``model_family`` of one flat theta, and :func:`cost` or one
     :func:`cost_and_gradient_reverse` per point."""
     lo = np.asarray(theta_low, dtype=float)
     hi = np.asarray(theta_high, dtype=float)
@@ -523,7 +537,7 @@ def empirical_lipschitz_V_per_point(model_family, dataset, loss=SQUARED_ERROR,
         try:
             m = model_family(theta)
             if not with_gradient:
-                return checked_cost(m, dataset, loss), None
+                return cost(m, dataset, loss), None
             v, g = cost_and_gradient_reverse(m, dataset, loss)
         except (DivergentCost, NonFiniteState, FloatingPointError):
             return None

@@ -12,7 +12,8 @@ from rnnlab.errors import DivergentCost
 from rnnlab.jsontext import write_json
 from rnnlab.statespace import Trajectory
 
-from helpers import trajectory_csv_by_element, trajectory_json_streamed, write_json_streamed
+from helpers import (save_cell, trajectory_csv_by_element, trajectory_json_streamed,
+                     write_json_streamed)
 
 REFERENCE = str(files("rnnlab").joinpath("data", "chaotic_lstm_2x2.json"))
 X0 = "0.5,0.5,0.5,0.5"
@@ -478,6 +479,34 @@ def test_a_malformed_run_directory_is_a_config_error(snapshot, error, tmp_path, 
     assert run(argv, tmp_path / "diagram") == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"config error: run directory {run_dir}" in err and error in err
+
+
+@pytest.mark.parametrize("snapshots", ["missing", "empty"])
+def test_a_run_directory_without_snapshots_is_a_config_error(snapshots, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.json").write_text("{}\n")
+    if snapshots == "empty":
+        (run_dir / "snapshots").mkdir()
+    argv = ["bifurcate", "--sweep", "epoch", "--run-dir", str(run_dir)]
+    assert run(argv, tmp_path / "diagram") == cli.EXIT_CONFIG
+    assert (f"config error: run directory {run_dir} holds no snapshots"
+            in capsys.readouterr().err)
+
+
+def test_snapshots_of_another_cell_kind_or_size_are_a_config_error(tmp_path, capsys):
+    # the reference cell beside a 4-unit LSTM snapshot of a sine run
+    from rnnlab.cells import make_cell
+
+    run_dir = tmp_path / "run"
+    (run_dir / "snapshots").mkdir(parents=True)
+    shutil.copy(REFERENCE, run_dir / "snapshots" / "epoch_0.json")
+    save_cell(make_cell("lstm", 4, n_input=1, init_seed=0),
+              run_dir / "snapshots" / "epoch_1.json")
+    argv = ["bifurcate", "--sweep", "epoch", "--run-dir", str(run_dir)]
+    assert run(argv, tmp_path / "diagram") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: run directory {run_dir}: the epoch 1 snapshot" in err
 
 
 @pytest.mark.parametrize("argv, unread", [

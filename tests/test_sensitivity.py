@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rnnlab.cells import make_cell
-from rnnlab.errors import LengthMismatch, NonFiniteState
+from rnnlab.errors import DivergentCost, LengthMismatch, NonFiniteState
 from rnnlab.sensitivity import (
     DIVERGENT_COST_BOUND,
     SIGMOID_CROSS_ENTROPY,
@@ -23,6 +23,7 @@ from helpers import (
     fd_gradient,
     forward_gradient,
     propagate_sensitivity,
+    reference_cost,
     rel_err,
 )
 
@@ -189,6 +190,40 @@ def test_reference_cost_minimum_at_true_scale():
     assert v_true == 0.0
     for s in [0.3, 0.7, 0.9, 1.1, 1.3]:
         assert cost(cell.with_params(s * cell.params.values), dataset) > 1e-3
+
+
+@pytest.mark.parametrize("loss", [SQUARED_ERROR, SIGMOID_CROSS_ENTROPY])
+@pytest.mark.parametrize("readout", ["identity", "linear"])
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+def test_cost_is_the_one_sequence_at_a_time_cost_bit_for_bit(kind, readout, loss):
+    # three sequences of one shape under different masks form one group of the
+    # pass; a shorter fourth forms another
+    rng = np.random.default_rng(31)
+    cell = make_cell(kind, 3, n_input=2, bias=True, readout=readout, n_output=2,
+                     init_seed=7)
+    masks = [np.ones(14, dtype=bool), np.arange(14) % 3 == 0, np.arange(14) == 13, None]
+    seqs = [Sequence(rng.standard_normal((len(m) if m is not None else 9, 2)),
+                     rng.standard_normal((len(m) if m is not None else 9, cell.output_dim)),
+                     mask=m, x0=0.3 * rng.standard_normal(cell.state_dim))
+            for m in masks]
+    assert cost(cell, seqs, loss) == reference_cost(cell, seqs, loss)
+    assert cost(cell, seqs[1], loss) == reference_cost(cell, seqs[1], loss)
+
+
+def test_cost_and_the_shared_pass_apply_the_one_divergence_rule():
+    # x_t = t g: at g = 1e52 every state is finite, the cost (~8.1e106) is not
+    model = DrivenScalar(1e52, a=1.0)
+    seqs = [Sequence(np.ones((50, 1)), np.zeros(50), x0=np.array([0.0]))]
+    assert DIVERGENT_COST_BOUND < reference_cost(model, seqs) < np.inf
+    for evaluate in (cost, cost_and_gradient_reverse, gradient):
+        with pytest.raises(DivergentCost, match="exceeds 1e"):
+            evaluate(model, seqs)
+    # a non-finite state: the step and quantity of the first one, from both
+    cell, theta, seqs = _overflowing_vanilla()
+    for evaluate in (cost, cost_and_gradient_reverse):
+        with pytest.raises(NonFiniteState) as err:
+            evaluate(cell.with_params(theta), seqs)
+        assert (err.value.step, err.value.what) == (2, "state")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from rnnlab import smoothness
 from rnnlab.errors import DivergentCost, NonFiniteState
-from rnnlab.sensitivity import SQUARED_ERROR, Sequence, gradient
+from rnnlab.sensitivity import SQUARED_ERROR, Sequence, cost, gradient
 from rnnlab.smoothness import (
     PAIR_SCALES,
     LandscapeGrid,
@@ -14,7 +14,6 @@ from rnnlab.smoothness import (
     bound_L_V_prime,
     bound_S,
     bound_report,
-    checked_cost,
     empirical_lipschitz_V,
     landscape_sweep,
     local_minima_census,
@@ -291,7 +290,7 @@ def test_pairs_of_a_huge_box_are_measured_without_float_warnings():
             assert np.array_equal(a + PAIR_SCALES[k % 4 - 1] * rng.standard_normal(a.size), a)
             continue
         b = rng.uniform(-box, box)
-        va, vb = (checked_cost(cell.with_params(t), ds, SQUARED_ERROR) for t in (a, b))
+        va, vb = (cost(cell.with_params(t), ds, SQUARED_ERROR) for t in (a, b))
         want = max(want, abs(va - vb) / math.dist(a, b))
     assert want > 0.0
     for with_gradient in (False, True):
@@ -450,7 +449,7 @@ def _single_points(family, dataset, thetas, with_gradient):
     for theta in thetas:
         model = family(theta)
         try:
-            values.append(checked_cost(model, dataset))
+            values.append(cost(model, dataset))
             norms.append(float(np.linalg.norm(gradient(model, dataset)))
                          if with_gradient else np.nan)
             divergent.append(False)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rnnlab.cells import make_cell, spectral_norm
-from rnnlab.training import (SineTask, SymbolTask, TrainConfig, load_snapshots, save_run,
-                             train)
+from rnnlab.errors import DivergentCost
+from rnnlab.sensitivity import Sequence
+from rnnlab.training import (SineTask, SymbolTask, Task, TrainConfig, load_snapshots,
+                             save_run, train)
 
-from helpers import history_csv_by_element
+from helpers import DrivenScalar, history_csv_by_element
 
 
 def test_config_document_matches_the_written_field_list():
@@ -68,3 +70,13 @@ def test_sine_lstm_loss_falls_at_every_epoch():
     losses = [row["loss"] for row in run.history]
     assert len(losses) == 3
     assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+
+
+def test_a_divergent_cost_names_its_epoch_and_batch():
+    # x_t = t g at g = 1e52: finite states, a cost (~8.1e106) above the bound
+    class Ramp(Task):
+        name = "ramp"
+        train = [Sequence(np.ones((50, 1)), np.zeros(50), x0=np.array([0.0]))]
+
+    with pytest.raises(DivergentCost, match=r"exceeds 1e\+100 \(epoch 1, batch 0\)"):
+        train(DrivenScalar(1e52, a=1.0), Ramp(), TrainConfig(epochs=2))
