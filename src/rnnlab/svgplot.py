@@ -81,10 +81,10 @@ def svg_scatter(path, xs, ys, title="", xlabel="", ylabel="", desc=""):
     x_lo, x_hi = _finite_range(xs)
     y_lo, y_hi = _finite_range(ys)
     parts, sx, sy = _axes_frame(x_lo, x_hi, y_lo, y_hi, title, xlabel, ylabel, desc)
-    for x, y in zip(xs[keep], ys[keep]):
-        parts.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1.2" fill="black"/>'
-        )
+    # the scales map whole arrays with the per-point operations, in their order
+    cx = map("%.2f".__mod__, sx(xs[keep]).tolist())
+    cy = map("%.2f".__mod__, sy(ys[keep]).tolist())
+    parts += [f'<circle cx="{x}" cy="{y}" r="1.2" fill="black"/>' for x, y in zip(cx, cy)]
     write_lines(path, parts + ["</svg>"])
 
 

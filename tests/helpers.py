@@ -4,12 +4,14 @@ The library takes gradients by reverse accumulation only.  The oracles it
 is checked against live here: the cost one simulation per sequence,
 forward sensitivity propagation (RTRL) and central finite differences, of
 the Jacobians and of the cost.  So do the
-Lyapunov exponent from full state Jacobians, which the library forms as
-tangent products instead, the empirical Lipschitz estimate one point at a
-time, which the library takes from one stacked pass, and the
-element-by-element CSV writers (trajectory, landscape, bifurcation diagram
-and training history) and the streamed JSON writer, which also writes the
-tests' cell files.
+Lyapunov exponent from one ``jacobians`` call per step, which the library
+batches over a block of orbit states, the rollout that reads out and
+checks every step, which the library does a block of steps at a time, the
+empirical Lipschitz estimate one point at a time, which the library takes
+from one stacked pass, and the element-by-element CSV writers (trajectory,
+landscape, bifurcation diagram and training history), the point-by-point
+SVG scatter and the streamed JSON writer, which also writes the tests'
+cell files.
 """
 
 import json
@@ -28,7 +30,8 @@ from rnnlab.sensitivity import (
     divergent_costs,
 )
 from rnnlab.smoothness import PAIR_SCALES, EmpiricalLipschitz
-from rnnlab.statespace import DynamicalModel, _as_input_array, simulate
+from rnnlab.statespace import DynamicalModel, Rollout, _as_input_array, simulate
+from rnnlab.svgplot import _axes_frame, _finite_range
 
 
 class ScalarLinear(DynamicalModel):
@@ -404,6 +407,82 @@ def jacobian_lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(burn_in + t + 1)
     return log_sum / horizon
+
+
+def rollout_by_step(model, x0, inputs, horizon=None, feedback=None, keep_states=True):
+    """``rollout`` with a readout and a finiteness check at every step: the
+    output of step t, then the state and fed-back input of step t + 1, each
+    checked as soon as it is computed, the loop stopping at once when every
+    row has diverged."""
+    x = np.asarray(x0, dtype=float)
+    rows = x.shape[:-1]
+    if feedback is None:
+        inputs = _as_input_array(model, inputs)
+        n = inputs.shape[0]
+        z_shape = None
+    else:
+        n = int(horizon)
+        z = np.asarray(inputs, dtype=float)
+        z_shape = np.broadcast_shapes(z.shape[:-1], rows) + (model.input_dim,)
+        z = np.broadcast_to(z, z_shape)
+        inputs = np.full((n,) + z_shape, np.nan)
+    if n < 1:
+        raise ValueError("need at least one step")
+    states = np.full((n,) + x.shape, np.nan) if keep_states else None
+    kept = [] if keep_states else None
+    outputs = np.full((n,) + rows + (model.output_dim,), np.nan)
+    diverged_at = np.full(rows, -1)
+    diverged_what = np.full(rows, "", dtype=object)
+    alive = np.ones(rows, dtype=bool)
+
+    def any_alive(values, t, what):
+        ok = np.isfinite(values).all(axis=-1)
+        new = alive & ~ok
+        diverged_at[new] = t
+        diverged_what[new] = what
+        np.logical_and(alive, ok, out=alive)
+        return alive.any()
+
+    with np.errstate(all="ignore"):
+        for t in range(n):
+            if keep_states:
+                states[t] = x
+            if z_shape is None:
+                z = inputs[t]
+            else:
+                inputs[t] = z
+            y = model.output(x, z)
+            outputs[t] = y
+            if not np.isfinite(y).all() and not any_alive(y, t, "output"):
+                break
+            if t + 1 == n:
+                break
+            x, step_kept = model._advance(x, z)
+            if keep_states:
+                kept.append(step_kept)
+            if not np.isfinite(x).all() and not any_alive(x, t + 1, "state"):
+                break
+            if z_shape is not None:
+                z = np.asarray(feedback(y), dtype=float).reshape(z_shape)
+                if not np.isfinite(z).all() and not any_alive(z, t + 1, "input"):
+                    break
+    return Rollout(states, outputs, inputs, diverged_at, diverged_what, kept)
+
+
+def svg_scatter_by_point(path, xs, ys, title="", xlabel="", ylabel="", desc=""):
+    """``svg_scatter`` mapping and formatting one point at a time."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    x_lo, x_hi = _finite_range(xs)
+    y_lo, y_hi = _finite_range(ys)
+    parts, sx, sy = _axes_frame(x_lo, x_hi, y_lo, y_hi, title, xlabel, ylabel, desc)
+    for x, y in zip(xs[keep], ys[keep]):
+        parts.append(
+            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1.2" fill="black"/>'
+        )
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts + ["</svg>"]) + "\n")
 
 
 def trajectory_csv_by_element(traj, path, meta=None):

@@ -11,8 +11,9 @@ from rnnlab.analysis import (
 from rnnlab.cells import chaotic_reference_cell, make_cell
 from rnnlab.errors import NonFiniteState, SingularMatrix, TooFewSamples
 from rnnlab.statespace import argmax_onehot_feedback, rollout, simulate
+from rnnlab.svgplot import svg_scatter
 
-from helpers import FixedScalarLinear, LogisticMap, diagram_csv_by_element
+from helpers import FixedScalarLinear, LogisticMap, diagram_csv_by_element, svg_scatter_by_point
 
 X0_REF = np.array([0.5, 0.5, 0.5, 0.5])
 
@@ -139,6 +140,23 @@ def test_diagram_csv_is_the_file_of_the_sample_by_sample_writer(tmp_path):
     diagram_csv_by_element(diag, tmp_path / "oracle.csv", meta=meta)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert "1.0,diverged,diverged" in (tmp_path / "fast.csv").read_text().split("\n")
+
+
+def test_scatter_is_the_file_of_the_point_by_point_writer(tmp_path):
+    cell = chaotic_reference_cell()
+    svals = np.linspace(0.0, 1.6, 17)
+    diag = bifurcation_sweep(cell.with_params(svals[:, None] * cell.params.values), svals,
+                             np.zeros(0), X0_REF, burn_in=50, record=50)
+    xs = np.repeat(svals, 50)
+    ys = np.concatenate([s.p for s in diag.samples])
+    cases = {"diagram": (xs, ys),
+             "non-finite": ([0.0, np.nan, 1.0, 2.0, -np.inf], [-1e-3, 1.0, np.inf, 3.0, 0.0]),
+             "one-value": ([2.5, 2.5], [-0.0, -0.0])}
+    for name, (x, y) in cases.items():
+        svg_scatter(tmp_path / "a.svg", x, y, title="t", xlabel="s", ylabel="p", desc=name)
+        svg_scatter_by_point(tmp_path / "b.svg", x, y, title="t", xlabel="s", ylabel="p",
+                             desc=name)
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes(), name
 
 
 def _single_point_samples(model, x0, burn_in, record, u=None, feedback=None):

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from rnnlab import statespace
 from rnnlab.cells import chaotic_reference_cell, make_cell
 from rnnlab.errors import NonFiniteState
 from rnnlab.statespace import (
     Region,
     Trajectory,
+    argmax_onehot_feedback,
     estimate_lipschitz_f,
     find_fixed_points,
     lyapunov_exponent,
@@ -17,10 +21,12 @@ from helpers import (
     DrivenScalar,
     FeedthroughMap,
     FixedScalarLinear,
+    LogisticMap,
     RotationMap,
     ScalarLinear,
     TanhMap,
     jacobian_lyapunov_exponent,
+    rollout_by_step,
     trajectory_csv_by_element,
     trajectory_json_streamed,
 )
@@ -145,6 +151,93 @@ def test_closed_loop_rows_report_a_non_finite_input():
     one = rollout(model, x0[1], np.zeros(1), 3, feedback)
     assert np.array_equal(run.outputs[:, 1], one.outputs)
     assert np.array_equal(run.inputs[:, 1], one.inputs)
+
+
+def _overflowing_readout(b_out):
+    """An LSTM whose linear readout 1e308 h_0 + b_out overflows over finite
+    states, one row per bias, driven by a sine."""
+    cell = make_cell("lstm", 2, n_input=1, readout="linear", n_output=1, init_seed=3)
+    params = cell.params.with_block("W_out", np.array([[1e308, 0.0]]))
+    rows = [params.with_block("b_out", np.array([b])).values for b in b_out]
+    sine = 3.0 * np.sin(np.linspace(0.0, 20.0, 100))[:, None]
+    return cell.with_params(np.array(rows)), sine
+
+
+def _rollout_cases():
+    ref = chaotic_reference_cell()
+    readout = make_cell("lstm", 2, n_input=1, readout="linear", n_output=3, init_seed=3)
+    sine = np.sin(np.linspace(0.0, 30.0, 1000))[:, None]
+    # 10 x from 1e300, 1e3 x from 1e300, 10 x from 1e277 and from 1e269: the
+    # states overflow at steps 9, 3, 32 and 40, within the first block, on the
+    # second block's first step and inside it
+    scalar = FixedScalarLinear(np.array([[10.0], [1e3], [10.0], [10.0]]))
+    x_scalar = np.array([[1e300], [1e300], [1e277], [1e269]])
+    feed = FeedthroughMap(dim=1)
+    overflow = lambda y: 1e200 * y
+    yield "reference", (ref, X0_REF, np.zeros((1000, 0))), {}
+    yield "linear-readout", (readout, np.array([0.5, -0.25, 0.1, 3.0]), sine), {}
+    yield "linear-readout-rows", (readout, np.array([[0.5, -0.25, 0.1, 3.0], [0.0] * 4]),
+                                  np.stack([sine, -sine], axis=1)), {}
+    yield "scalar-rows", (scalar, x_scalar, np.zeros((50, 0))), {}
+    yield "scalar-rows-one-finite", (FixedScalarLinear(np.array([[10.0], [0.5]])),
+                                     np.array([[1e269], [1.0]]), np.zeros((50, 0))), {}
+    yield "scalar-one-row", (FixedScalarLinear(10.0), np.array([1e277]),
+                             np.zeros((70, 0))), {}
+    model, u = _overflowing_readout([1.79e308, 1.71e308, 1.75e308])
+    yield "readout-overflow", (model.with_params(model.params.values[:2]),
+                               np.zeros((2, 4)), u), {}
+    yield "readout-overflow-one-row", (model.with_params(model.params.values[2]),
+                                       np.zeros(4), u), {}
+    yield "nan-x0", (ref, np.array([np.nan, 0.5, 0.5, 0.5]), np.zeros((50, 0))), {}
+    yield "nan-c0", (ref, np.array([0.5, 0.5, np.nan, 0.5]), np.zeros((50, 0))), {}
+    yield "no-states", (scalar, x_scalar, np.zeros((50, 0))), {"keep_states": False}
+    yield "no-states-reference", (ref, X0_REF, np.zeros((300, 0))), {"keep_states": False}
+    yield "feedback-identity", (feed, np.array([0.3]), np.array([0.3]), 10), {
+        "feedback": lambda y: y}
+    yield "feedback-overflow", (feed, np.array([[1e110], [1e-210]]), np.zeros(1), 3), {
+        "feedback": overflow}
+    yield "feedback-overflow-one-row", (feed, np.array([1e110]), np.zeros(1), 3), {
+        "feedback": overflow}
+    symbols = make_cell("lstm", 3, n_input=2, readout="linear", n_output=2, init_seed=1)
+    yield "feedback-argmax", (symbols, np.full((3, 6), 0.5) * [[1], [-1], [2]], np.eye(2)[0],
+                              200), {"feedback": argmax_onehot_feedback(2)}
+
+
+ROLLOUT_CASES = list(_rollout_cases())
+
+
+@pytest.mark.parametrize("args,kwargs", [c[1:] for c in ROLLOUT_CASES],
+                         ids=[c[0] for c in ROLLOUT_CASES])
+def test_rollout_is_the_per_step_loop_bit_for_bit(args, kwargs):
+    got, want = rollout(*args, **kwargs), rollout_by_step(*args, **kwargs)
+    for name in ("states", "outputs", "inputs", "diverged_at"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+        else:
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    assert got.diverged_what.dtype == want.diverged_what.dtype == object
+    assert got.diverged_what.tolist() == want.diverged_what.tolist()
+    if want.kept is None:
+        assert got.kept is None
+    else:
+        assert len(got.kept) == len(want.kept)
+        for a, b in zip(got.kept, want.kept):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_rollout_cases_cover_each_divergence():
+    runs = {name: rollout_by_step(*args, **kwargs) for name, args, kwargs in ROLLOUT_CASES}
+    assert runs["scalar-rows"].diverged_at.tolist() == [9, 3, 32, 40]
+    assert runs["scalar-rows-one-finite"].diverged_at.tolist() == [40, -1]
+    assert runs["readout-overflow"].diverged_what.tolist() == ["output", "output"]
+    assert runs["readout-overflow"].diverged_at.tolist() == [3, 6]
+    assert runs["readout-overflow-one-row"].error().what == "output"
+    assert np.isfinite(runs["readout-overflow-one-row"].states[:5]).all()
+    assert (runs["nan-x0"].error().step, runs["nan-x0"].error().what) == (0, "output")
+    assert (runs["nan-c0"].error().step, runs["nan-c0"].error().what) == (1, "state")
+    assert runs["feedback-overflow"].diverged_what.tolist() == ["input", ""]
+    assert runs["reference"].error() is None and runs["linear-readout"].error() is None
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +405,8 @@ def test_lyapunov_by_tangents_matches_the_jacobian_oracle(scale):
 
 
 def test_lyapunov_builds_no_jacobians(monkeypatch):
+    """One ``step_tangent`` per 512-step block of the horizon, batched; one per
+    step above the batched state size."""
     from rnnlab.cells import LstmCell
 
     calls = {"step_tangent": 0, "jacobians": 0}
@@ -323,8 +418,55 @@ def test_lyapunov_builds_no_jacobians(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(LstmCell, name, counted)
+    lyapunov_exponent(chaotic_reference_cell(), X0_REF, np.zeros(0), burn_in=10, horizon=1100)
+    assert calls == {"step_tangent": 3, "jacobians": 0}
+    monkeypatch.setattr(statespace, "BATCHED_JACOBIAN_MAX_DIM", 0)
+    calls.update(step_tangent=0)
     lyapunov_exponent(chaotic_reference_cell(), X0_REF, np.zeros(0), burn_in=10, horizon=200)
     assert calls == {"step_tangent": 200, "jacobians": 0}
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-step"])
+def test_lyapunov_closed_forms_through_the_default_tangent(batched, monkeypatch):
+    if not batched:
+        monkeypatch.setattr(statespace, "BATCHED_JACOBIAN_MAX_DIM", 0)
+    # the period-2 orbit of r = 3.2 stretches by |f'(a) f'(b)| = 4 + 2r - r^2 per period
+    lam = lyapunov_exponent(LogisticMap(3.2), np.array([0.3]), np.zeros(0),
+                            burn_in=100, horizon=1000)
+    assert abs(lam - 0.5 * np.log(0.16)) <= 1e-12
+    # r = 4 is conjugate to the doubling map (from 0.3: 0.5 maps to the fixed point 0)
+    lam = lyapunov_exponent(LogisticMap(4.0), np.array([0.3]), np.zeros(0),
+                            burn_in=100, horizon=5000)
+    assert abs(lam - np.log(2.0)) <= 1e-3
+    assert lyapunov_exponent(FixedScalarLinear(0.0), np.array([1.0]), np.zeros(0),
+                             burn_in=10, horizon=100) == -np.inf
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-step"])
+@pytest.mark.parametrize("burn_in,horizon", [(0, 400), (400, 100)])
+def test_lyapunov_of_a_diverging_orbit_raises_its_step_without_a_float_warning(
+        batched, burn_in, horizon, monkeypatch):
+    if not batched:
+        monkeypatch.setattr(statespace, "BATCHED_JACOBIAN_MAX_DIM", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState) as err:   # 10^309 overflows
+            lyapunov_exponent(FixedScalarLinear(10.0), np.array([1.0]), np.zeros(0),
+                              burn_in=burn_in, horizon=horizon)
+    assert (err.value.step, err.value.what) == (309, "state")
+
+
+@pytest.mark.parametrize("model", [LogisticMap(4.0), TanhMap(2.5)], ids=["logistic", "tanh"])
+def test_default_step_tangent_of_stacked_states_is_each_row_s(model):
+    x = np.array([[0.1], [0.3], [0.7]])
+    V = np.array([[[1.0, -2.0]], [[0.5, 0.0]], [[3.0, 1.0]]])
+    states, AV = model.step_tangent(x, np.zeros(0), V)
+    for i in range(3):
+        state, av = model.step_tangent(x[i], np.zeros(0), V[i])
+        assert np.array_equal(states[i], state) and np.array_equal(AV[i], av)
+    if isinstance(model, LogisticMap):   # A = r (1 - 2x)
+        A = model.step_tangent(x, np.zeros(0), np.eye(1))[1]
+        assert np.allclose(A.ravel(), [3.2, 1.6, -1.6], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
