@@ -11,21 +11,18 @@ contract:
   exponential of a skew-symmetric matrix, hence exactly orthogonal
 
 One base, ``_Cell``, owns the constructor, the readout, ``with_params``,
-the file format, what the kinds share of the Jacobians, and the batched
-backward pass.  A kind names its per-gate blocks once
-(``_W``, ``_U``, ``_b``).  The LSTM's four gate blocks of each group,
-``W_hi..W_ho`` say, lie back to back in theta as before, so it reads each
+the file format and the batched backward pass.  A kind names its per-gate
+blocks once (``_W``, ``_U``, ``_b``).  The LSTM's four gate blocks of each
+group, ``W_hi..W_ho`` say, lie back to back in theta, so it reads each
 group as one fused (4H, ...) matrix (``ParameterVector.get_stacked``) and
-computes all four gates in one product, with no change of layout.
+computes all four gates in one product.
 
 ``step`` and ``output`` broadcast over a leading axis of P stacked points:
 the state may be (P, N_x) and the parameters (P, N_theta), as built by
 ``with_params`` from a matrix of parameter vectors.  So does
-``step_tangent``, the step with the product A V for tangents V (..., N_x, k):
-each kind forms A V from the gates of its step, never building A.
-``jacobians`` is single-point and derives nothing of its own: A is A I, and
-B = dx'/dtheta comes row by row from the step adjoint (below) of the unit
-cotangents.
+``step_tangent``, the step with the product A V for tangents V (..., N_x, k)
+or one (N_x, k) shared by all rows: each kind forms A V from the gates of
+its step, never building A.
 
 The gradient route runs forward through :func:`~rnnlab.statespace.rollout`
 and back through one reverse loop in ``_Cell``.  A kind gives ``_advance``,
@@ -35,10 +32,10 @@ nothing for the vanilla cell), which ``rollout`` keeps, and
 dL/d pre of the gates and what the state carries back besides h (the
 LSTM's dL/dc).  The reverse loop adds the weight gradients at every step,
 summed over the sequences: one GEMM per weight group under a shared theta,
-one product per row under a stacked one.  The test suite checks the passes
-against forward sensitivity propagation and finite differences, the
-stacked rows against single points, and A and B against finite-difference
-Jacobians.
+one product per row under a stacked one.  The test suite checks the
+tangent and adjoint steps against finite-difference Jacobians, the passes
+against forward sensitivity propagation and finite differences, and the
+stacked rows against single points.
 """
 
 from __future__ import annotations
@@ -142,11 +139,9 @@ class _Cell(DynamicalModel):
     through properties cached per instance (a cell is immutable).
 
     A kind gives ``_advance(x, z) -> (x', gates)``, from which ``step``,
-    :func:`~rnnlab.statespace.rollout` and its ``step_tangent`` take the step;
-    ``_step_adjoint(gates, x, x', dh', carry') -> (dpre, carry)``, from
-    which ``backward_batch`` takes the reverse of the step and ``jacobians``
-    takes B, as the adjoint of the N_x unit cotangents (A comes from
-    ``step_tangent``).
+    :func:`~rnnlab.statespace.rollout` and its ``step_tangent`` take the step,
+    and ``_step_adjoint(gates, x, x', dh', carry') -> (dpre, carry)``, from
+    which ``backward_batch`` takes the reverse of the step.
     """
 
     _CONFIG = ("n_hidden", "n_input", "bias", "readout", "n_output")
@@ -257,36 +252,6 @@ class _Cell(DynamicalModel):
             return h.copy()
         return _matvec(self.params.get("W_out"), h) + self.params.get("b_out")
 
-    def jacobians(self, x, z):
-        """A as A I from ``step_tangent``; row r of B = dx'/dtheta as the step
-        adjoint of the unit cotangent e_r, which gives dpre = dx'_r/d pre of
-        the gates, hence the blocks dpre h^T, dpre z^T and dpre."""
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        H, I = self.n_hidden, np.eye(self.state_dim)
-        x_new, A = self.step_tangent(x, z, I)
-        dpre = self._step_adjoint(self._advance(x, z)[1], x, x_new, I[:, :H], I[:, H:])[0]
-        B = ParameterVector(self.params.layout, np.zeros((self.state_dim, self.n_params)))
-        self._write_recurrent_rows(B, dpre, x[:H])
-        if self.n_input > 0:
-            np.einsum("rk,j->rkj", dpre, z, out=B.get_stacked(self._U))
-        if self.bias:
-            B.get_stacked(self._b)[...] = dpre
-        C = np.zeros((self.output_dim, self.state_dim))
-        F = ParameterVector(self.params.layout, np.zeros((self.output_dim, self.n_params)))
-        if self.readout == "identity":
-            C[:, :H] = np.eye(H)
-        else:
-            C[:, :H] = self.params.get("W_out")
-            F.get("W_out")[np.diag_indices(self.output_dim)] = x[:H]  # dy_a/dW_out[a] = h
-            F.get("b_out")[...] = np.eye(self.output_dim)
-        return A, B.values, C, F.values
-
-    def _write_recurrent_rows(self, B, dpre, h):
-        """B's recurrent block dpre h^T, written straight into its strided view
-        (several times faster than adding a temporary into it)."""
-        np.einsum("rk,j->rkj", dpre, h, out=B.get_stacked(self._W))
-
     # ---- the batched backward pass ----
 
     def backward_batch(self, run, dY):
@@ -390,19 +355,14 @@ class OrthogonalRnnCell(VanillaRnnCell):
         """The realized orthogonal W, (..., H, H)."""
         return realize_orthogonal(self.skew_matrix())
 
-    def _write_recurrent_rows(self, B, dpre, h):
-        """dx'/dS_raw from dx'/dW = dpre h^T, row by row, by the gradient's map."""
-        self._add_recurrent_gradient(B, dpre[..., None] * h)
-
     def _add_recurrent_gradient(self, grad, gW):
         """dL/dS_raw from dL/dW, through the adjoint of the Frechet derivative of exp."""
         low = np.tril(self.skew_matrix(), -1)
         S = low - np.swapaxes(low, -1, -2)
         if gW.ndim == 2:
             gS = expm_frechet(S.T, gW, compute_expm=False)
-        else:  # per stacked row, or per row of B; a row that diverged keeps NaN
+        else:  # per stacked row; a row that diverged keeps NaN
             gS = np.full(gW.shape, np.nan)
-            S = np.broadcast_to(S, gW.shape)  # B's rows share one S
             for p in np.flatnonzero(np.isfinite(gW).all(axis=(1, 2))):
                 gS[p] = expm_frechet(S[p].T, gW[p], compute_expm=False)
         gS = gS - np.swapaxes(gS, -1, -2)
@@ -505,7 +465,7 @@ class LstmCell(_Cell):
 
         dpre = self._W_mat @ V[..., :H, :]
         dgates = dpre.reshape(dpre.shape[:-2] + (4, H, dpre.shape[-1]))
-        dgates *= _slopes(gates)[..., None]
+        dgates = dgates * _slopes(gates)[..., None]  # a shared V grows to the stacked rows
         di, df, da, do = (dgates[..., k, :, :] for k in range(4))
         # the gates and c as columns, against the k tangent columns
         i, f, a, o, c, tc = (v[..., None] for v in (i, f, a, o, x[..., H:], tc))

@@ -46,14 +46,8 @@ class ParameterLayout:
         if len(self._by_name) != len(self.blocks):
             raise ValueError("duplicate block names in layout")
 
-    def names(self):
-        return [b.name for b in self.blocks]
-
     def spec(self, name: str) -> BlockSpec:
         return self._by_name[name]
-
-    def slice(self, name: str) -> slice:
-        return self._by_name[name].span
 
     def stacked(self, names) -> BlockSpec:
         """One spec over alike blocks that lie back to back, in that order.

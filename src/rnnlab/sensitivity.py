@@ -8,10 +8,10 @@ carries dL/dx back from the last step,
 
     dtheta += B[t]^T dx + F[t]^T dy[t],   dx <- A[t]^T dx + C[t]^T dy[t],
 
-at O(N * N_x^2) per sequence; a cell carries dx back through the adjoint
-of its step, never building A or B.  :func:`cost` is the forward half of
-the pass over a one-row stack; training takes it under one theta, and the
-landscape and the Lipschitz estimates over all their points stacked.  The
+at O(N * N_x^2) per sequence, through the adjoint of each step, never
+building A or B.  :func:`cost` is the forward half of the pass over a
+one-row stack; training takes it under one theta, and the landscape and
+the Lipschitz estimates over all their points stacked.  The
 one divergence rule: a point diverges when a state, output or input is
 NaN/Inf, when its cost is non-finite or above :data:`DIVERGENT_COST_BOUND`,
 or when its gradient is NaN/Inf.  A single point raises for it, a stacked
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit as sigmoid
 
 from .errors import DivergentCost, LengthMismatch, NonFiniteState
-from .statespace import rollout, simulate  # noqa: F401 (a test checks the pass never calls it)
+from .statespace import rollout
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,14 @@ A model is the pair of maps
     x[t+1] = f(x[t], z[t]; theta)      (state transition)
     y[t]   = g(x[t], z[t]; theta)      (output)
 
-with analytic Jacobians A = df/dx, B = df/dtheta, C = dg/dx, F = dg/dtheta.
-Everything downstream (simulation, fixed points, Lyapunov exponents,
-gradients, bifurcation diagrams, smoothness estimates) is built on this
-contract: a model implements step/output/jacobians, and defaults build on
-those.  ``step_tangent`` returns the step and the product A V of the
-state Jacobian with a block of tangent vectors, from ``jacobians``.
-``_advance`` is the step and what a reverse pass keeps of it (nothing).
-``backward_batch`` accumulates in reverse from ``jacobians`` over the
-:class:`Rollout` of the forward pass, one row at a time; for a model
-stacking P points, one point at a time, on the point's ``with_params``
-model.  :func:`rollout` is the one forward loop: simulation, sweeps, the
+and everything downstream (simulation, fixed points, Lyapunov exponents,
+gradients, bifurcation diagrams, smoothness estimates) is built on its
+derivatives in two modes, neither of which forms a Jacobian matrix:
+``step_tangent`` carries tangent vectors forward through the state
+Jacobian A = df/dx, as the products A V, and ``backward_batch`` carries
+a cotangent back through the adjoint of each step, giving the gradient
+over theta.  ``_advance`` is the step and what the adjoint needs of it.
+:func:`rollout` is the one forward loop: simulation, sweeps, the
 Lyapunov orbit and the gradient route all step through it, and
 ``rollout(..., feedback=)`` is the closed loop, each output fed back as
 the next input.  An open loop that keeps its states reads them out and
@@ -24,18 +21,14 @@ states, every step.  A row stops at its first non-finite state, input or
 output, which it reports with its step and quantity.  The Lyapunov
 exponent carries its tangent through A_t built for a block of orbit
 states at once, or for N_x above :data:`BATCHED_JACOBIAN_MAX_DIM`, through
-one ``step_tangent`` per step.  The package's cells derive no Jacobian by hand: each
-kind implements its step as ``_advance``, its transpose ``_step_adjoint``
-and its tangent ``step_tangent`` (A V from the step's own gates, without
-building A), and ``cells._Cell`` takes ``jacobians`` and the reverse loop
-from them.
+one ``step_tangent`` per step.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +44,11 @@ class DynamicalModel:
 
     Subclasses set ``state_dim``, ``input_dim``, ``output_dim`` and
     ``params`` (a :class:`ParameterVector`) and implement ``step``,
-    ``output`` and ``jacobians``; :func:`rollout` steps a model through
-    ``_advance``, which a model overrides to keep what its
-    ``backward_batch`` reads of each step.  Models are immutable after
-    construction; parameter updates go through :meth:`with_params`,
-    which returns a new model.
+    ``output``, ``_advance``, ``step_tangent``, ``backward_batch`` and
+    ``with_params``.  :func:`rollout` steps a model through ``_advance``,
+    which returns what its ``backward_batch`` reads of each step.  Models
+    are immutable after construction; parameter updates go through
+    :meth:`with_params`, which returns a new model.
 
     ``step`` and ``output`` broadcast over a leading axis of P stacked
     points: the state may be (P, N_x), the parameters (P, N_theta) (from
@@ -63,7 +56,7 @@ class DynamicalModel:
     or (P, N_z).  A sweep calls its model family once, with every point
     stacked, and steps all of them together through :func:`rollout`.
     ``step_tangent`` broadcasts the same way, with tangents V of shape
-    (..., N_x, k).  ``jacobians`` is single-point.
+    (..., N_x, k), or (N_x, k) shared by all rows.
     """
 
     state_dim: int
@@ -78,57 +71,25 @@ class DynamicalModel:
     def output(self, x, z):
         raise NotImplementedError
 
-    def jacobians(self, x, z):
-        """Return (A, B, C, F) evaluated at (x, z, self.params)."""
+    def _advance(self, x, z):
+        """The next state, and what ``backward_batch`` needs of the step."""
         raise NotImplementedError
 
-    def _advance(self, x, z):
-        """The next state, and what a reverse pass keeps of the step: nothing."""
-        return self.step(x, z), None
-
     def step_tangent(self, x, z, V):
-        """``(step(x, z), A @ V)``: the next state, and the k tangent columns
-        of V (..., N_x, k) carried through the step.  This default builds A
-        from the single-point ``jacobians``, one stacked state at a time;
-        cells override it with a Jacobian-vector product that never builds
-        A.  The state it returns is ``step(x, z)`` bit for bit."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.step(x, z), self.jacobians(x, z)[0] @ V
-        rows = x.shape[:-1]
-        z = np.broadcast_to(z, rows + np.shape(z)[-1:])
-        V = np.broadcast_to(V, rows + np.shape(V)[-2:])
-        states, AV = zip(*(self.step_tangent(x[i], z[i], V[i]) for i in np.ndindex(rows)))
-        return np.reshape(states, x.shape), np.reshape(AV, rows + AV[0].shape)
+        """``(step(x, z), A V)``: the next state, bit for bit, and the k
+        tangent columns V (..., N_x, k) carried through the step by the
+        state Jacobian A = df/dx, without building A."""
+        raise NotImplementedError
+
+    def backward_batch(self, run, dY):
+        """Gradient over theta of sum(dY * outputs), dY (T, *rows, N_y), by
+        the adjoint of each step, in reverse over the :class:`Rollout`
+        ``run`` of the forward pass; (P, N_theta) for P stacked points."""
+        raise NotImplementedError
 
     def with_params(self, values) -> "DynamicalModel":
         """New model of the same kind with a replacement flat theta."""
         raise NotImplementedError
-
-    def backward_batch(self, run, dY):
-        """Gradient over theta of sum(dY * outputs), dY (T, B, N_y), in reverse
-        over the :class:`Rollout` ``run`` of the forward pass:
-        with dx = dL/dx[t+1], dtheta += B^T dx + F^T dy, then dx <- A^T dx + C^T dy.
-
-        A model stacking P points runs (T, B, P, ...) arrays and returns one
-        gradient per point, (P, N_theta): each from the point's own
-        ``with_params`` model, on its slice of the run.
-        """
-        if self.params.values.ndim == 2:
-            inputs = np.broadcast_to(run.inputs, run.states.shape[:-1] + (self.input_dim,))
-            return np.array([
-                self.with_params(theta).backward_batch(
-                    replace(run, states=run.states[:, :, p], inputs=inputs[:, :, p]),
-                    dY[:, :, p])
-                for p, theta in enumerate(self.params.values)])
-        grad = np.zeros(self.n_params)
-        for b in range(dY.shape[1]):
-            dx = np.zeros(self.state_dim)
-            for t in range(len(dY) - 1, -1, -1):
-                A, B, C, F = self.jacobians(run.states[t, b], run.inputs[t, b])
-                grad += B.T @ dx + F.T @ dY[t, b]
-                dx = A.T @ dx + C.T @ dY[t, b]
-        return grad
 
     @property
     def n_params(self) -> int:
@@ -149,7 +110,6 @@ class Trajectory:
     states: np.ndarray   # (N, N_x)
     outputs: np.ndarray  # (N, N_y)
     inputs: np.ndarray   # (N, N_z)
-    t0: int = 0
     _formatted: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
@@ -175,19 +135,20 @@ class Trajectory:
         header = ",".join(
             ["t"] + [f"x{i}" for i in range(n_x)] + [f"y{i}" for i in range(n_y)]
         )
-        columns = [map(str, range(self.t0, self.t0 + len(self)))]
+        columns = [map(str, range(len(self)))]
         columns += [rows for rows, width in ((states, n_x), (outputs, n_y)) if width]
         write_csv(path, meta, header, map(",".join, zip(*columns)))
 
-    def to_json(self, path, model_name="model", theta_hash=None, seed=None, meta=None):
-        """Write the trajectory document as ``json.dump(doc, indent=1)`` would."""
+    def to_json(self, path, model_name="model", theta_hash=None, meta=None):
+        """Write the trajectory document as ``json.dump(doc, indent=1)`` would;
+        ``meta`` fills its ``seed`` and adds its other keys at the end."""
         states, outputs = self._rows()
         doc = {
             "format_version": 1,
             "model": model_name,
             "theta_hash": theta_hash,
-            "seed": seed,
-            "t0": self.t0,
+            "seed": None,
+            "t0": 0,  # the index of the first row, kept in format version 1
             "states": states,
             "outputs": outputs,
             "inputs": self.inputs.tolist(),
@@ -472,38 +433,23 @@ def find_fixed_points(model, u_const, seeds, tol=1e-10, max_iter=100):
 
 @dataclass
 class Region:
-    """Box over states and, optionally, parameters.
-
-    When the parameter box is absent the transition map is treated as a
-    function of the state alone (theta frozen) and only the A block
-    enters the Jacobian norm; with a parameter box the joint (x, theta)
-    Jacobian [A | B] is used.
-    """
+    """Box over states."""
 
     x_low: np.ndarray
     x_high: np.ndarray
-    theta_low: np.ndarray | None = None
-    theta_high: np.ndarray | None = None
 
     def __post_init__(self):
         self.x_low = np.asarray(self.x_low, dtype=float)
         self.x_high = np.asarray(self.x_high, dtype=float)
-        if self.theta_low is not None:
-            self.theta_low = np.asarray(self.theta_low, dtype=float)
-            self.theta_high = np.asarray(self.theta_high, dtype=float)
-
-    @property
-    def has_theta(self):
-        return self.theta_low is not None
 
 
 def estimate_lipschitz_f(model, region: Region, u_const, n_samples=200, rng_seed=0):
     """Sampled lower bound on the transition Lipschitz constant.
 
-    Returns the max over sampled points of the spectral norm of the
-    Jacobian of f: jointly in (x, theta) when the region has a parameter
-    box, else in x alone.  A sampled maximum can only under-estimate the
-    true supremum over the region; treat the result as an estimate.
+    Returns the max over sampled states of the spectral norm of the state
+    Jacobian A of f, theta frozen.  A sampled maximum can only
+    under-estimate the true supremum over the region; treat the result as
+    an estimate.
     """
     if n_samples < 2:
         raise EmptyRegion("need at least 2 samples")
@@ -516,13 +462,7 @@ def estimate_lipschitz_f(model, region: Region, u_const, n_samples=200, rng_seed
     best = 0.0
     for _ in range(int(n_samples)):
         x = rng.uniform(region.x_low, region.x_high)
-        if region.has_theta:
-            theta = rng.uniform(region.theta_low, region.theta_high)
-            A, B, _, _ = model.with_params(theta).jacobians(x, u)
-            J = np.hstack([A, B])
-        else:
-            J = model.step_tangent(x, u, eye)[1]
-        s = float(np.linalg.norm(J, 2))
+        s = float(np.linalg.norm(model.step_tangent(x, u, eye)[1], 2))
         if s > best:
             best = s
     return best
@@ -590,9 +530,7 @@ def lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
             raise err
         v, eye = v[:, 0], np.eye(n_x)
         for b in range(burn_in, end, JACOBIAN_BLOCK):
-            X = run.states[b:min(b + JACOBIAN_BLOCK, end)]
-            # one I per state: the LSTM tangent's in-place product cannot grow a shared I
-            A = model.step_tangent(X, u, np.broadcast_to(eye, (len(X),) + eye.shape))[1]
+            A = model.step_tangent(run.states[b:min(b + JACOBIAN_BLOCK, end)], u, eye)[1]
             for t, A_t in enumerate(A, b):
                 v = A_t @ v
                 r = math.sqrt(v @ v)  # as np.linalg.norm, without its overhead

@@ -1,21 +1,26 @@
 """Small hand-checkable models and the oracles for the tests.
 
-The library takes gradients by reverse accumulation only.  The oracles it
-is checked against live here: the cost one simulation per sequence,
-forward sensitivity propagation (RTRL) and central finite differences, of
-the Jacobians and of the cost.  So do the
-Lyapunov exponent from one ``jacobians`` call per step, which the library
-batches over a block of orbit states, the rollout that reads out and
-checks every step, which the library does a block of steps at a time, the
-empirical Lipschitz estimate one point at a time, which the library takes
-from one stacked pass, and the element-by-element CSV writers (trajectory,
-landscape, bifurcation diagram and training history), the point-by-point
-SVG scatter and the streamed JSON writer, which also writes the tests'
-cell files.
+The library never forms a Jacobian matrix: it carries tangents forward
+through ``step_tangent`` and cotangents back through ``backward_batch``.
+The Jacobian-matrix route lives here, as the oracles the library is checked
+against.  The seven test maps derive from :class:`JacobianModel`, which
+gives each its tangent step and reverse pass from its full Jacobians
+(A, B, C, F); :func:`cell_jacobians` assembles them for a cell from its
+tangent and adjoint steps, and :func:`jacobians_of` reads either.  On them
+rest the cost one simulation per sequence, forward sensitivity propagation
+(RTRL) and central finite differences, of the Jacobians and of the cost,
+and the Lyapunov exponent from one full Jacobian per step, which the
+library batches over a block of orbit states.  So do the rollout that
+reads out and checks every step, which the library does a block of steps
+at a time, the empirical Lipschitz estimate one point at a time, which the
+library takes from one stacked pass, and the element-by-element CSV
+writers (trajectory, landscape, bifurcation diagram and training history),
+the point-by-point SVG scatter and the streamed JSON writer, which also
+writes the tests' cell files.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +39,51 @@ from rnnlab.statespace import DynamicalModel, Rollout, _as_input_array, simulate
 from rnnlab.svgplot import _axes_frame, _finite_range
 
 
-class ScalarLinear(DynamicalModel):
+class JacobianModel(DynamicalModel):
+    """A test map given by ``step``, ``output`` and its single-point Jacobians
+    ``jacobians(x, z) -> (A, B, C, F)``, with A = df/dx, B = df/dtheta,
+    C = dg/dx and F = dg/dtheta; its tangent step and reverse pass are
+    products with them."""
+
+    def jacobians(self, x, z):
+        raise NotImplementedError
+
+    def _advance(self, x, z):
+        return self.step(x, z), None
+
+    def step_tangent(self, x, z, V):
+        """The step and A V, one stacked state at a time."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.step(x, z), self.jacobians(x, z)[0] @ V
+        rows = x.shape[:-1]
+        z = np.broadcast_to(z, rows + np.shape(z)[-1:])
+        V = np.broadcast_to(V, rows + np.shape(V)[-2:])
+        states, AV = zip(*(self.step_tangent(x[i], z[i], V[i]) for i in np.ndindex(rows)))
+        return np.reshape(states, x.shape), np.reshape(AV, rows + AV[0].shape)
+
+    def backward_batch(self, run, dY):
+        """With dx = dL/dx[t+1]: dtheta += B^T dx + F^T dy, then
+        dx <- A^T dx + C^T dy, in reverse over each sequence; a stack of P
+        points, one point at a time on its ``with_params`` model."""
+        if self.params.values.ndim == 2:
+            inputs = np.broadcast_to(run.inputs, run.states.shape[:-1] + (self.input_dim,))
+            return np.array([
+                self.with_params(theta).backward_batch(
+                    replace(run, states=run.states[:, :, p], inputs=inputs[:, :, p]),
+                    dY[:, :, p])
+                for p, theta in enumerate(self.params.values)])
+        grad = np.zeros(self.n_params)
+        for b in range(dY.shape[1]):
+            dx = np.zeros(self.state_dim)
+            for t in range(len(dY) - 1, -1, -1):
+                A, B, C, F = self.jacobians(run.states[t, b], run.inputs[t, b])
+                grad += B.T @ dx + F.T @ dY[t, b]
+                dx = A.T @ dx + C.T @ dY[t, b]
+        return grad
+
+
+class ScalarLinear(JacobianModel):
     """x' = a * x with a trainable; y = x."""
 
     name = "scalar_linear"
@@ -96,7 +145,7 @@ class FixedScalarLinear(ScalarLinear):
         return FixedScalarLinear(self.a)
 
 
-class DrivenScalar(DynamicalModel):
+class DrivenScalar(JacobianModel):
     """x' = a * x + g * z with fixed contraction a and trainable gain g; y = x."""
 
     name = "driven_scalar"
@@ -128,7 +177,7 @@ class DrivenScalar(DynamicalModel):
         return DrivenScalar(np.asarray(v, dtype=float), self.a)
 
 
-class TanhMap(DynamicalModel):
+class TanhMap(JacobianModel):
     """x' = tanh(w * x) scalar map with trainable w; y = x."""
 
     name = "tanh_map"
@@ -161,7 +210,7 @@ class TanhMap(DynamicalModel):
         return TanhMap(np.asarray(v, dtype=float))
 
 
-class RotationMap(DynamicalModel):
+class RotationMap(JacobianModel):
     """2-D rotation by a fixed angle (an isometry; empty theta)."""
 
     name = "rotation"
@@ -188,7 +237,7 @@ class RotationMap(DynamicalModel):
         return RotationMap(self.angle)
 
 
-class LogisticMap(DynamicalModel):
+class LogisticMap(JacobianModel):
     """x' = r * x * (1 - x), the textbook period-doubling family.
 
     ``r`` may be a (P, 1) column, one rate per stacked row.
@@ -224,7 +273,7 @@ class LogisticMap(DynamicalModel):
         return LogisticMap(np.asarray(v, dtype=float))
 
 
-class FeedthroughMap(DynamicalModel):
+class FeedthroughMap(JacobianModel):
     """x' = z, y = x: the closed loop with identity feedback holds any state."""
 
     name = "feedthrough"
@@ -247,6 +296,44 @@ class FeedthroughMap(DynamicalModel):
 
     def with_params(self, v):
         return FeedthroughMap(self.state_dim)
+
+
+def cell_jacobians(cell, x, z):
+    """(A, B, C, F) of a cell at one point.  A is A I from ``step_tangent``;
+    row r of B = dx'/dtheta comes from the step adjoint of the unit cotangent
+    e_r, which gives dpre = dx'_r/d pre of the gates, hence the blocks
+    dpre h^T (through ``_add_recurrent_gradient``, which maps dW to the
+    ornn's S_raw), dpre z^T and dpre."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    H, I = cell.n_hidden, np.eye(cell.state_dim)
+    x_new, A = cell.step_tangent(x, z, I)
+    dpre = cell._step_adjoint(cell._advance(x, z)[1], x, x_new, I[:, :H], I[:, H:])[0]
+    B = np.zeros((cell.state_dim, cell.n_params))
+    for r in range(cell.state_dim):
+        row = ParameterVector(cell.params.layout, np.zeros(cell.n_params))
+        cell._add_recurrent_gradient(row, np.outer(dpre[r], x[:H]))
+        if cell.n_input > 0:
+            row.get_stacked(cell._U)[...] = np.outer(dpre[r], z)
+        if cell.bias:
+            row.get_stacked(cell._b)[...] = dpre[r]
+        B[r] = row.values
+    C = np.zeros((cell.output_dim, cell.state_dim))
+    F = ParameterVector(cell.params.layout, np.zeros((cell.output_dim, cell.n_params)))
+    if cell.readout == "identity":
+        C[:, :H] = np.eye(H)
+    else:
+        C[:, :H] = cell.params.get("W_out")
+        F.get("W_out")[np.diag_indices(cell.output_dim)] = x[:H]  # dy_a/dW_out[a] = h
+        F.get("b_out")[...] = np.eye(cell.output_dim)
+    return A, B, C, F.values
+
+
+def jacobians_of(model, x, z):
+    """(A, B, C, F) of a test map or a cell at one point."""
+    if isinstance(model, JacobianModel):
+        return model.jacobians(x, z)
+    return cell_jacobians(model, x, z)
 
 
 def fd_jacobians(model, x, z, eps=1e-6):
@@ -326,7 +413,7 @@ def propagate_sensitivity(model, x0, inputs):
     D = np.zeros((model.state_dim, model.n_params))
     out = []
     for t in range(n):
-        A, B, C, F = model.jacobians(traj.states[t], inputs[t])
+        A, B, C, F = jacobians_of(model, traj.states[t], inputs[t])
         J = C @ D + F
         if not np.all(np.isfinite(J)):
             raise NonFiniteState(t, "output sensitivity")
@@ -382,8 +469,9 @@ def fd_gradient(model, dataset, loss=SQUARED_ERROR, step=1e-6):
 
 
 def jacobian_lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
-    """Largest Lyapunov exponent from the full state Jacobian A_t of ``jacobians``
-    at every step: v <- A_t v / |A_t v|, averaging log |A_t v|."""
+    """Largest Lyapunov exponent from the full state Jacobian A_t of
+    :func:`jacobians_of` at every step: v <- A_t v / |A_t v|, averaging
+    log |A_t v|."""
     u = np.asarray(u_const, dtype=float).reshape(model.input_dim)
     x = np.asarray(x0, dtype=float).copy()
     for t in range(int(burn_in)):
@@ -394,7 +482,7 @@ def jacobian_lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
     v = np.full(model.state_dim, 1.0 / np.sqrt(model.state_dim))
     log_sum = 0.0
     for t in range(int(horizon)):
-        A, _, _, _ = model.jacobians(x, u)
+        A = jacobians_of(model, x, u)[0]
         v = A @ v
         r = float(np.linalg.norm(v))
         if r == 0.0 or not np.isfinite(r):
@@ -498,7 +586,7 @@ def trajectory_csv_by_element(traj, path, meta=None):
             lines.append(f"# {k}={v}")
     lines.append(header)
     for t in range(len(traj)):
-        row = [str(traj.t0 + t)]
+        row = [str(t)]
         row += [repr(float(v)) for v in traj.states[t]]
         row += [repr(float(v)) for v in traj.outputs[t]]
         lines.append(",".join(row))
@@ -565,15 +653,14 @@ def history_csv_by_element(run, path, extra_meta=None):
             )
 
 
-def trajectory_json_streamed(traj, path, model_name="model", theta_hash=None, seed=None,
-                             meta=None):
+def trajectory_json_streamed(traj, path, model_name="model", theta_hash=None, meta=None):
     """``Trajectory.to_json`` streamed through ``json.dump``."""
     doc = {
         "format_version": 1,
         "model": model_name,
         "theta_hash": theta_hash,
-        "seed": seed,
-        "t0": traj.t0,
+        "seed": None,
+        "t0": 0,
         "states": traj.states.tolist(),
         "outputs": traj.outputs.tolist(),
         "inputs": traj.inputs.tolist(),

@@ -8,9 +8,8 @@ def test_layout_covers_vector_disjointly():
     layout = ParameterLayout([("W", (3, 2)), ("b", (3,)), ("s", ())])
     assert layout.size == 6 + 3 + 1
     seen = np.zeros(layout.size, dtype=int)
-    for name in layout.names():
-        sl = layout.slice(name)
-        seen[sl] += 1
+    for b in layout.blocks:
+        seen[layout.spec(b.name).span] += 1
     assert np.all(seen == 1)
 
 

@@ -355,7 +355,7 @@ def _random_sequences(model, lengths, seed):
 
 @pytest.mark.parametrize("model", [ScalarLinear(0.8), DrivenScalar(0.7, a=0.9), TanhMap(1.3)])
 def test_default_reverse_route_matches_the_forward_oracle(model):
-    # the models have no backward pass of their own: the default one from jacobians
+    # the test maps' reverse pass multiplies by their full Jacobians
     seqs = _random_sequences(model, [12, 12, 12], seed=11)
     v, g = cost_and_gradient_reverse(model, seqs)
     assert abs(v - cost(model, seqs)) < 1e-12
@@ -375,25 +375,21 @@ def test_gradient_is_one_batched_pass_without_jacobians(monkeypatch):
     from rnnlab import sensitivity
     from rnnlab.cells import LstmCell
 
-    calls = {"rollout": 0, "jacobians": 0}
-    rollout, jacobians = sensitivity.rollout, LstmCell.jacobians
+    assert not hasattr(LstmCell, "jacobians")
+    calls = {"rollout": 0}
+    rollout = sensitivity.rollout
 
     def counted_rollout(*args, **kwargs):
         calls["rollout"] += 1
         return rollout(*args, **kwargs)
 
-    def counted_jacobians(self, *args):
-        calls["jacobians"] += 1
-        return jacobians(self, *args)
-
     monkeypatch.setattr(sensitivity, "rollout", counted_rollout)
-    monkeypatch.setattr(LstmCell, "jacobians", counted_jacobians)
     rng = np.random.default_rng(13)
     cell = make_cell("lstm", 4, n_input=2, init_seed=1)
     seqs = [Sequence(rng.standard_normal((20, 2)), rng.standard_normal(20))
             for _ in range(3)]
     gradient(cell, seqs)
-    assert calls == {"rollout": 1, "jacobians": 0}
+    assert calls == {"rollout": 1}
 
 
 def test_gradient_fd_agreement_on_contractive_driven_system():

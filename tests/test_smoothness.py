@@ -207,19 +207,14 @@ def test_empirical_gradient_takes_one_forward_pass_for_all_points(monkeypatch):
     from rnnlab import sensitivity
     from rnnlab.cells import make_cell
 
-    calls = {"rollout": 0, "simulate": 0}
-    rollout, simulate = sensitivity.rollout, sensitivity.simulate
+    calls = {"rollout": 0}
+    rollout = sensitivity.rollout
 
     def counted_rollout(*args, **kwargs):
         calls["rollout"] += 1
         return rollout(*args, **kwargs)
 
-    def counted_simulate(*args):
-        calls["simulate"] += 1
-        return simulate(*args)
-
     monkeypatch.setattr(sensitivity, "rollout", counted_rollout)
-    monkeypatch.setattr(sensitivity, "simulate", counted_simulate)
     cell = make_cell("lstm", 3, n_input=1, init_seed=0)
     rng = np.random.default_rng(0)
     ds = [Sequence(rng.standard_normal((12, 1)), rng.standard_normal(12)) for _ in range(2)]
@@ -227,7 +222,7 @@ def test_empirical_gradient_takes_one_forward_pass_for_all_points(monkeypatch):
     est = empirical_lipschitz_V(cell.with_params, ds, theta_low=theta - 0.1,
                                 theta_high=theta + 0.1, n_pairs=10, rng_seed=0)
     assert est.n_pairs_used == 10
-    assert calls == {"rollout": 1, "simulate": 0}
+    assert calls == {"rollout": 1}
 
 
 def _sine_lstm_case(seed):
