@@ -71,7 +71,6 @@ from .statespace import (
 )
 from .training import (
     Adam,
-    EvalResult,
     SineTask,
     SymbolTask,
     TrainConfig,

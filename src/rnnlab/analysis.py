@@ -256,13 +256,13 @@ class EntropyBoundReport:
         return bool(np.all(self.lower_ok))
 
 
-def check_entropy_bound(trace: EntropyTrace, L_f, atol=1e-9) -> EntropyBoundReport:
+def check_entropy_bound(trace: EntropyTrace, L_f) -> EntropyBoundReport:
     if L_f <= 0:
         raise ValueError("L_f must be positive")
     rate = trace.n_states * np.log(L_f)
     inc = trace.increments
     return EntropyBoundReport(
         bound_rate=float(rate),
-        upper_ok=inc <= rate + atol,
-        lower_ok=inc >= rate - atol,
+        upper_ok=inc <= rate + 1e-9,   # 1e-9: rounding slack of the log-determinants
+        lower_ok=inc >= rate - 1e-9,
     )

@@ -64,12 +64,11 @@ def spectral_norm(M):
     return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
 
 
-def orthogonal_init(rng, n, gain=1.0):
+def orthogonal_init(rng, n):
     """Random orthogonal matrix via sign-fixed QR of a Gaussian."""
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    return gain * q
+    return q * np.sign(np.diag(r))
 
 
 def realize_orthogonal(s_raw):

@@ -404,28 +404,13 @@ def cmd_bifurcate(opts, spec):
     else:
         _unread(spec, "weights", "cell", "hidden", "inputs", "readout", "outputs",
                 "range", "points")
-        run_dir = opts.run_dir
-        if not run_dir:
+        if not opts.run_dir:
             raise ConfigError("--sweep epoch needs --run-dir")
-        if not os.path.isdir(run_dir):
-            raise ConfigError(f"run directory not found: {run_dir}")
-        try:
-            snapshots = load_snapshots(run_dir)
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"run directory {run_dir} is malformed: "
-                              f"{type(err).__name__} {err}") from None
-        if not snapshots:
-            raise ConfigError(f"run directory {run_dir} holds no snapshots")
+        snapshots = load_snapshots(opts.run_dir)
         # the snapshots, not where the run directory lies, identify the sweep
         spec["run_dir"] = [[e, c.params.theta_hash()] for e, c in snapshots]
         sweep = [e for e, _ in snapshots]
         base = snapshots[0][1]
-        kinds = [{k: v for k, v in cell_to_dict(c).items() if k != "blocks"}
-                 for _, c in snapshots]
-        for e, kind in zip(sweep, kinds):
-            if kind != kinds[0]:
-                raise ConfigError(f"run directory {run_dir}: the epoch {e} snapshot is "
-                                  f"not a cell of the kind and size of epoch {sweep[0]}")
         model = base.with_params(np.stack([c.params.values for _, c in snapshots]))
         x0 = _resolve_x0(opts, spec, base, base.initial_state())
     u = _constant_inputs(model, opts.input, 1)[0]
@@ -544,12 +529,11 @@ def cmd_train(opts, spec):
         snapshot_every=_given(opts.snapshot_every, max(epochs // 15, 1)),
         seed=seed, stop_at_metric=stop_at,
     )
-    model, run = train(cell, task, tconf)
+    run = train(cell, task, tconf)
     out = opts.out or f"run-{task_name}-{kind}-seed{seed}"
     save_run(run, out, extra_meta=_meta(spec))
-    result = task.evaluate(model)
-    print(f"{out}: final {result.kind}={result.metric:.6g} "
-          f"(baseline {result.baseline:.6g})")
+    print(f"{out}: final {task.metric_kind}={run.final_metric:.6g} "
+          f"(baseline {task.baseline():.6g})")
 
 
 _SMOOTHNESS = (

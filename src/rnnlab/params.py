@@ -23,10 +23,6 @@ class BlockSpec:
     shape: tuple[int, ...]
     size: int  # number of entries, stored so that lookups do no arithmetic
 
-    @property
-    def span(self) -> slice:
-        return slice(self.offset, self.offset + self.size)
-
 
 class ParameterLayout:
     """Ordered, disjoint, covering map from block names to vector slices."""

@@ -1,9 +1,11 @@
-"""Desk-scale training harness and the two benchmark tasks.
+"""Desk-scale training harness, the two benchmark tasks and run directories.
 
 Adam with global-norm gradient clipping and stepwise learning-rate drops;
 gradients come from the cells' batched reverse pass.  A stable-LSTM run
-re-projects the recurrent blocks after every optimizer step.  Per-epoch
-histories and parameter snapshots feed the bifurcation analyses.
+re-projects the recurrent blocks after every optimizer step.  :func:`train`
+returns the record of a run, one :class:`TrainRun`.  :func:`save_run` writes
+it as a run directory and :func:`load_snapshots` reads its snapshots back:
+no other module knows the directory's format.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class Task:
     val: list | None = None
 
     def evaluate(self, model):
+        """The ``metric_kind`` metric of ``model``."""
         raise NotImplementedError
 
     def baseline(self):
@@ -134,8 +137,7 @@ class SineTask(Task):
     def evaluate(self, model):
         outputs = _outputs(model, self.train)
         targets = np.stack([s.targets for s in self.train], axis=1)
-        mse = float(np.mean((outputs - targets) ** 2))
-        return EvalResult(metric=mse, baseline=self.baseline(), kind="mse")
+        return float(np.mean((outputs - targets) ** 2))
 
     def baseline(self):
         """MSE of the best constant predictor (the mean, which is ~0)."""
@@ -203,15 +205,12 @@ class SymbolTask(Task):
             "label_encoding": "bit k = 1 iff relevant symbol k is q",
         }
 
-    def accuracy(self, model, sequences):
-        logits = _outputs(model, sequences)[-1]         # (B, 2)
-        pred = logits > 0.0
-        truth = np.stack([s.targets[-1] for s in sequences]) > 0.5
-        return float(np.mean(np.all(pred == truth, axis=1)))
-
     def evaluate(self, model):
-        acc = self.accuracy(model, self.val)
-        return EvalResult(metric=acc, baseline=self.baseline(), kind="accuracy")
+        """Validation accuracy."""
+        logits = _outputs(model, self.val)[-1]         # (B, 2)
+        pred = logits > 0.0
+        truth = np.stack([s.targets[-1] for s in self.val]) > 0.5
+        return float(np.mean(np.all(pred == truth, axis=1)))
 
     def baseline(self):
         """Accuracy of always predicting the most common class."""
@@ -220,13 +219,6 @@ class SymbolTask(Task):
         for lab in labels:
             counts[lab] = counts.get(lab, 0) + 1
         return max(counts.values()) / len(labels)
-
-
-@dataclass
-class EvalResult:
-    metric: float
-    baseline: float
-    kind: str
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +259,16 @@ class TrainConfig:
 
 @dataclass
 class TrainRun:
+    """The record of one training run: the trained cell, its per-epoch history
+    and snapshots, and ``final_metric``, the task's metric of ``model`` (the
+    last epoch's for an accuracy task, else one ``evaluate``)."""
+
+    model: object            # the trained cell
     history: list            # per epoch: dict(epoch, loss, metric, grad_norm, lr)
     snapshots: list          # [(epoch, flat theta values)]
     config: TrainConfig
-    cell_doc: dict
     task_meta: dict
+    final_metric: float
     stopped_early: bool = False
 
 
@@ -287,10 +284,11 @@ def snapshot_epochs(n_epochs, every):
 def train(model, task: Task, config: TrainConfig):
     """Adam training with clipping, drops, snapshots, and optional projection.
 
-    Returns the trained model and a :class:`TrainRun`.  A stable LSTM is
-    re-projected after every update; a batch that diverges (see
-    :func:`~rnnlab.sensitivity.cost_and_gradient_reverse`) aborts with the
-    epoch and batch recorded in the exception.
+    Returns the :class:`TrainRun` that holds the trained cell.  An accuracy
+    task is evaluated once per epoch, another task once at the end.  A
+    stable LSTM is re-projected after every update; a batch that diverges
+    (see :func:`~rnnlab.sensitivity.cost_and_gradient_reverse`) aborts with
+    the epoch and batch recorded in the exception.
     """
     rng = np.random.default_rng(config.seed)
     data = task.train
@@ -299,6 +297,7 @@ def train(model, task: Task, config: TrainConfig):
     opt = Adam(model.n_params, lr=config.lr0, beta1=config.beta1,
                beta2=config.beta2, eps=config.eps)
     is_projected = isinstance(model, StableLstmCell)
+    per_epoch = task.metric_kind == "accuracy"   # scored on validation every epoch
     if is_projected:
         model = project_stable(model)
 
@@ -331,34 +330,24 @@ def train(model, task: Task, config: TrainConfig):
                 model = project_stable(model)
 
         loss_epoch = float(np.mean(losses))
-        if task.metric_kind == "accuracy":
-            metric = task.evaluate(model).metric
-        else:
-            metric = loss_epoch
+        metric = task.evaluate(model) if per_epoch else loss_epoch
         history.append({
             "epoch": epoch, "loss": loss_epoch, "metric": metric,
             "grad_norm": float(np.mean(pre_norms)), "lr": lr,
         })
         if epoch in snap_at:
             snapshots.append((epoch, model.params.values.copy()))
-        if (config.stop_at_metric is not None
-                and task.metric_kind == "accuracy"
-                and metric >= config.stop_at_metric):
+        if per_epoch and config.stop_at_metric is not None and metric >= config.stop_at_metric:
             stopped = True
             break
 
     last_epoch = history[-1]["epoch"] if history else 0
     if snapshots[-1][0] != last_epoch:
         snapshots.append((last_epoch, model.params.values.copy()))
-    run = TrainRun(
-        history=history,
-        snapshots=snapshots,
-        config=config,
-        cell_doc=cell_to_dict(model),
-        task_meta=task.metadata(),
-        stopped_early=stopped,
-    )
-    return model, run
+    final_metric = history[-1]["metric"] if history and per_epoch else task.evaluate(model)
+    return TrainRun(model=model, history=history, snapshots=snapshots, config=config,
+                    task_meta=task.metadata(), final_metric=final_metric,
+                    stopped_early=stopped)
 
 
 # ---------------------------------------------------------------------------
@@ -379,32 +368,48 @@ def save_run(run: TrainRun, out_dir, extra_meta=None):
         "format_version": 1,
         "train": run.config.to_dict(),
         "task": run.task_meta,
-        "cell": {k: v for k, v in run.cell_doc.items() if k != "blocks"},
+        "cell": _kind(run.model),
         "stopped_early": run.stopped_early,
     }
     if extra_meta:
         doc.update(extra_meta)
     write_json(os.path.join(out_dir, "config.json"), doc)
 
-    base = cell_from_dict(run.cell_doc)
     for epoch, values in run.snapshots:
-        snap_doc = cell_to_dict(base.with_params(values))
+        snap_doc = cell_to_dict(run.model.with_params(values))
         if extra_meta:
             snap_doc.update(extra_meta)
         write_json(os.path.join(snap_dir, f"epoch_{epoch}.json"), snap_doc)
 
 
+def _kind(cell):
+    """A cell's document without its weights: its kind and size."""
+    return {k: v for k, v in cell_to_dict(cell).items() if k != "blocks"}
+
+
 def load_snapshots(run_dir):
-    """Read back the [(epoch, cell)] snapshots of a run directory, by epoch:
-    none when it has no ``snapshots`` directory."""
+    """The [(epoch, cell)] snapshots ``snapshots/epoch_<n>.json`` of a run
+    directory, by epoch.  A ConfigError names a missing directory, a file that
+    is not a cell, no snapshot, or a cell of another kind or size than the first."""
+    if not os.path.isdir(run_dir):
+        raise ConfigError(f"run directory not found: {run_dir}")
     snap_dir = os.path.join(run_dir, "snapshots")
     snapshots = []
-    for fname in os.listdir(snap_dir) if os.path.isdir(snap_dir) else ():
-        if not fname.startswith("epoch_"):
-            continue
-        epoch = int(fname[len("epoch_"):-len(".json")])
-        with open(os.path.join(snap_dir, fname)) as fh:
-            snapshots.append((epoch, cell_from_dict(json.load(fh))))
+    try:
+        for fname in os.listdir(snap_dir) if os.path.isdir(snap_dir) else ():
+            if fname.startswith("epoch_") and fname.endswith(".json"):
+                epoch = int(fname[len("epoch_"):-len(".json")])
+                with open(os.path.join(snap_dir, fname)) as fh:
+                    snapshots.append((epoch, cell_from_dict(json.load(fh))))
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"run directory {run_dir} is malformed: "
+                          f"{type(err).__name__} {err}") from None
+    if not snapshots:
+        raise ConfigError(f"run directory {run_dir} holds no snapshots")
     snapshots.sort(key=lambda p: p[0])
+    first_epoch, first = snapshots[0][0], _kind(snapshots[0][1])
+    for epoch, cell in snapshots:
+        if _kind(cell) != first:
+            raise ConfigError(f"run directory {run_dir}: the epoch {epoch} snapshot is "
+                              f"not a cell of the kind and size of epoch {first_epoch}")
     return snapshots
-

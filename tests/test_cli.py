@@ -415,6 +415,23 @@ def test_epoch_sweep_reads_the_snapshots_alone(tmp_path):
     assert diagrams[0] and diagrams[0] == diagrams[1] == diagrams[2]
 
 
+
+def test_an_epoch_sweep_reads_only_epoch_n_json_files(tmp_path):
+    assert run(["train", "--task", "sine", "--cell", "lstm", "--hidden", "2",
+                "--epochs", "1", "--seed", "3"], tmp_path / "run") == cli.EXIT_OK
+    shutil.copytree(tmp_path / "run", tmp_path / "stray")
+    snapshots = tmp_path / "stray" / "snapshots"
+    shutil.copy(snapshots / "epoch_1.json", snapshots / "epoch_1.json.bak")
+    (snapshots / "epoch_notes.txt").write_text("not a snapshot\n")
+    diagrams = []
+    for name in ("run", "stray"):
+        out = tmp_path / "diagram" / name
+        assert run(["bifurcate", "--sweep", "epoch", "--run-dir", str(tmp_path / name),
+                    "--burn-in", "5", "--record", "4", "--input", "0.07"], out) == cli.EXIT_OK
+        diagrams.append(tree(out))
+    assert diagrams[0] and diagrams[0] == diagrams[1]
+
+
 # every command's flags, as they were when all seven parsers were built on each call
 FLAGS = {
     "simulate": "cell hidden input inputs out outputs readout scale seed steps weights x0",

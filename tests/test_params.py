@@ -9,7 +9,8 @@ def test_layout_covers_vector_disjointly():
     assert layout.size == 6 + 3 + 1
     seen = np.zeros(layout.size, dtype=int)
     for b in layout.blocks:
-        seen[layout.spec(b.name).span] += 1
+        spec = layout.spec(b.name)
+        seen[spec.offset : spec.offset + spec.size] += 1
     assert np.all(seen == 1)
 
 

@@ -26,7 +26,8 @@ def test_stable_lstm_run_round_trips_and_stays_projected(tmp_path):
     cell = make_cell("slstm", 3, n_input=task.input_dim, bias=True, readout="linear",
                      n_output=task.output_dim, init_seed=2, target_norm=0.9)
     config = TrainConfig(epochs=2, lr0=1e-2, batch_size=10, snapshot_every=1, seed=2)
-    model, run = train(cell, task, config)
+    run = train(cell, task, config)
+    model = run.model
     save_run(run, tmp_path / "run", extra_meta={"spec_hash": "abc"})
 
     config_doc = json.loads((tmp_path / "run" / "config.json").read_text())
@@ -54,7 +55,7 @@ def test_history_csv_is_the_file_of_the_field_by_field_writer(extra_meta, tmp_pa
     cell = make_cell("lstm", 2, n_input=task.input_dim, bias=True, readout="linear",
                      n_output=task.output_dim, init_seed=2)
     config = TrainConfig(epochs=3, lr0=1e-2, batch_size=10, lr_drops=[(2, 10.0)], seed=2)
-    _, run = train(cell, task, config)
+    run = train(cell, task, config)
     save_run(run, tmp_path / "run", extra_meta=extra_meta)
     history_csv_by_element(run, tmp_path / "oracle.csv", extra_meta=extra_meta)
     written = (tmp_path / "run" / "history.csv").read_bytes()
@@ -66,7 +67,7 @@ def test_sine_lstm_loss_falls_at_every_epoch():
     task = SineTask()
     cell = make_cell("lstm", 8, n_input=1, bias=True, readout="linear", n_output=1,
                      init_seed=0)
-    _, run = train(cell, task, TrainConfig(epochs=3, lr0=1e-4, seed=0))
+    run = train(cell, task, TrainConfig(epochs=3, lr0=1e-4, seed=0))
     losses = [row["loss"] for row in run.history]
     assert len(losses) == 3
     assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
@@ -80,3 +81,31 @@ def test_a_divergent_cost_names_its_epoch_and_batch():
 
     with pytest.raises(DivergentCost, match=r"exceeds 1e\+100 \(epoch 1, batch 0\)"):
         train(DrivenScalar(1e52, a=1.0), Ramp(), TrainConfig(epochs=2))
+
+
+@pytest.mark.parametrize("task_name, epochs, calls", [
+    ("symbols", 2, 2), ("symbols", 0, 1), ("sine", 2, 1), ("sine", 0, 1),
+])
+def test_a_run_evaluates_its_task_once_per_epoch_or_once_in_all(task_name, epochs, calls,
+                                                                 monkeypatch):
+    if task_name == "symbols":
+        task = SymbolTask(length=50, n_train=20, n_val=20, seed=2)
+        config = TrainConfig(epochs=epochs, lr0=1e-2, batch_size=10, seed=2)
+    else:
+        task = SineTask(n_sequences=5, length=30)
+        config = TrainConfig(epochs=epochs, seed=0)
+    cell = make_cell("lstm", 2, n_input=task.input_dim, bias=True, readout="linear",
+                     n_output=task.output_dim, init_seed=2)
+    evaluate, seen = type(task).evaluate, []
+
+    def counted(self, model):
+        seen.append(model)
+        return evaluate(self, model)
+
+    monkeypatch.setattr(type(task), "evaluate", counted)
+    run = train(cell, task, config)
+    assert len(seen) == calls and len(run.history) == epochs
+    assert seen[-1] is run.model
+    if task_name == "symbols" and epochs:
+        assert run.final_metric == run.history[-1]["metric"]
+    assert run.final_metric == evaluate(task, run.model)
