@@ -9,9 +9,11 @@ carries dL/dx back from the last step,
     dtheta += B[t]^T dx + F[t]^T dy[t],   dx <- A[t]^T dx + C[t]^T dy[t],
 
 at O(N * N_x^2) per sequence, through the adjoint of each step, never
-building A or B.  :func:`cost` is the forward half of the pass over a
-one-row stack; training takes it under one theta, and the landscape and
-the Lipschitz estimates over all their points stacked.  The
+building A or B.  A cell walks back in blocks of steps: per step only the
+cotangent recurrence, per block the weight gradients of all the block's
+steps and sequences in one product.  :func:`cost` is the forward half of
+the pass over a one-row stack; training takes it under one theta, and the
+landscape and the Lipschitz estimates over all their points stacked.  The
 one divergence rule: a point diverges when a state, output or input is
 NaN/Inf, when its cost is non-finite or above :data:`DIVERGENT_COST_BOUND`,
 or when its gradient is NaN/Inf.  A single point raises for it, a stacked

@@ -135,13 +135,16 @@ def bound_L_V_prime(c: SmoothnessConstants) -> float:
     """
     S = c.S_table()
     cumS = np.concatenate([[0.0], np.cumsum(S)])  # cumS[k] = sum_{j=0..k-1} S(j)
-    Lf = c.L_f
+    Lf = float(c.L_f)
     # G(t) and H(t) sum L_f^{t-l} and L_f^{t-l} cumS[l] over l = 1..t; the sum
     # over l of L_f^{t-l} seg(l, t), seg = sum_{j=l..t} S(j), is cumS[t+1] G - H
-    G, H = np.zeros((2, c.N + 1))
-    for t in range(1, c.N + 1):
-        G[t] = Lf * G[t - 1] + 1.0
-        H[t] = Lf * H[t - 1] + cumS[t]
+    # (on Python floats: the same operations, in the same order, as on array
+    # elements, without two array reads and writes a step)
+    G, H = [0.0], [0.0]
+    for cumS_t in cumS[1:c.N + 1].tolist():
+        G.append(Lf * G[-1] + 1.0)
+        H.append(Lf * H[-1] + cumS_t)
+    G, H = np.array(G), np.array(H)
     t = np.arange(1, c.N + 1)
     St, Gt = S[t], G[t]
     seg_sum = cumS[t + 1] * Gt - H[t]

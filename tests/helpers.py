@@ -11,12 +11,13 @@ rest the cost one simulation per sequence, forward sensitivity propagation
 (RTRL) and central finite differences, of the Jacobians and of the cost,
 and the Lyapunov exponent from one full Jacobian per step, which the
 library batches over a block of orbit states.  So do the rollout that
-reads out and checks every step, which the library does a block of steps
-at a time, the empirical Lipschitz estimate one point at a time, which the
-library takes from one stacked pass, and the element-by-element CSV
-writers (trajectory, landscape, bifurcation diagram and training history),
-the point-by-point SVG scatter and the streamed JSON writer, which also
-writes the tests' cell files.
+reads out and checks every step, and the reverse pass that forms each
+step's adjoint and weight gradients on its own, both of which the library
+runs a block of steps at a time, the empirical Lipschitz estimate one
+point at a time, which the library takes from one stacked pass, and the
+element-by-element CSV writers (trajectory, landscape, bifurcation diagram
+and training history), the point-by-point SVG scatter and the streamed JSON
+writer, which also writes the tests' cell files.
 """
 
 import json
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rnnlab.cells import cell_to_dict
+from rnnlab.cells import _sequence_sum, _slopes, _unstack, _vecmat, cell_to_dict
 from rnnlab.errors import DivergentCost, NonFiniteState
 from rnnlab.params import ParameterLayout, ParameterVector
 from rnnlab.sensitivity import (
@@ -300,15 +301,17 @@ class FeedthroughMap(JacobianModel):
 
 def cell_jacobians(cell, x, z):
     """(A, B, C, F) of a cell at one point.  A is A I from ``step_tangent``;
-    row r of B = dx'/dtheta comes from the step adjoint of the unit cotangent
-    e_r, which gives dpre = dx'_r/d pre of the gates, hence the blocks
-    dpre h^T (through ``_add_recurrent_gradient``, which maps dW to the
-    ornn's S_raw), dpre z^T and dpre."""
+    row r of B = dx'/dtheta comes from a one-step block of the adjoint with
+    the unit cotangent e_r, which gives dpre = dx'_r/d pre of the gates,
+    hence the blocks dpre h^T (through ``_add_recurrent_gradient``, which
+    maps dW to the ornn's S_raw), dpre z^T and dpre."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     H, I = cell.n_hidden, np.eye(cell.state_dim)
     x_new, A = cell.step_tangent(x, z, I)
-    dpre = cell._step_adjoint(cell._advance(x, z)[1], x, x_new, I[:, :H], I[:, H:])[0]
+    coef = cell._adjoint_coefficients([cell._advance(x, z)[1]], x[None], x_new[None])
+    dpre = np.empty((cell.state_dim, cell._W_mat.shape[-2]))
+    cell._adjoint_step([c[0] for c in coef], I[:, :H], I[:, H:], dpre)
     B = np.zeros((cell.state_dim, cell.n_params))
     for r in range(cell.state_dim):
         row = ParameterVector(cell.params.layout, np.zeros(cell.n_params))
@@ -495,6 +498,57 @@ def jacobian_lyapunov_exponent(model, x0, u_const, burn_in=100, horizon=1000):
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(burn_in + t + 1)
     return log_sum / horizon
+
+
+def step_adjoint(cell, gates, x, x_new, dh, carry):
+    """dL/d pre of a cell's gates, and what its state carries back besides h,
+    from dh = dL/dh' and the carried cotangent of the later steps, formed
+    per step: dh (1 - h'^2) for the vanilla and orthogonal cells; for the
+    LSTM, with dc the carried dL/dc',
+
+        dc~ = dc + dh o (1 - tanh(c')^2)
+        dpre = (dc~ a, dc~ c, dc~ i, dh tanh(c')) * gate slopes
+        dL/dc = dc~ f
+    """
+    if gates is None:
+        return dh * (1.0 - x_new ** 2), carry
+    i, f, a, o = _unstack(gates)
+    H = cell.n_hidden
+    tc = np.tanh(x_new[..., H:])
+    dct = carry + dh * o * (1.0 - tc ** 2)
+    dpre = np.stack([dct * a, dct * x[..., H:], dct * i, dh * tc], axis=-2) * _slopes(gates)
+    return dpre.reshape(dpre.shape[:-2] + (-1,)), dct * f
+
+
+def backward_by_step(cell, run, dY):
+    """A cell's ``backward_batch`` one step at a time: at each step
+    :func:`step_adjoint` turns dh = dL/dh' into dpre = dL/d pre, which adds
+    dpre^T h, dpre^T z and dpre, summed over the sequences, to the weight
+    gradients, and dh <- dpre W."""
+    xs, kept, Z = run.states, run.kept, run.inputs
+    hs = cell._hidden_of(xs)
+    grad = ParameterVector(cell.params.layout, np.zeros(cell.params.values.shape))
+    dH = dY
+    if cell.readout == "linear":
+        g_out = grad.get("W_out")
+        g_out += np.einsum("tb...k,tb...n->...kn", dY, hs)
+        g_bias = grad.get("b_out")
+        g_bias += dY.sum(axis=(0, 1))
+        dH = _vecmat(dY, cell.params.get("W_out"))
+    gW = np.zeros(cell._W_mat.shape)
+    gU = grad.get_stacked(cell._U) if cell.n_input > 0 else None
+    gb = grad.get_stacked(cell._b) if cell.bias else None
+    dh, carry = dH[-1], 0.0
+    for t in range(len(xs) - 2, -1, -1):
+        dpre, carry = step_adjoint(cell, kept[t], xs[t], xs[t + 1], dh, carry)
+        gW += _sequence_sum(dpre, hs[t])
+        if gU is not None:
+            gU += _sequence_sum(dpre, Z[t])
+        if gb is not None:
+            gb += dpre.sum(axis=0)
+        dh = _vecmat(dpre, cell._W_mat) + dH[t]
+    cell._add_recurrent_gradient(grad, gW)
+    return grad.values
 
 
 def rollout_by_step(model, x0, inputs, horizon=None, feedback=None, keep_states=True):

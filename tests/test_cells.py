@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rnnlab.cells import (
+    BACKWARD_BLOCK,
     CHAOTIC_REFERENCE_STATE,
     LstmCell,
     OrthogonalRnnCell,
@@ -19,9 +21,10 @@ from rnnlab.cells import (
     realize_orthogonal,
 )
 from rnnlab.errors import ConfigError
-from rnnlab.statespace import simulate
+from rnnlab.sensitivity import Sequence, cost_and_gradient_reverse, gradient
+from rnnlab.statespace import rollout, simulate
 
-from helpers import cell_jacobians, fd_jacobians, rel_err, save_cell
+from helpers import backward_by_step, cell_jacobians, fd_jacobians, rel_err, save_cell
 
 GOLDEN = "tests/golden/chaotic_lstm_trajectory.csv"
 
@@ -236,6 +239,99 @@ def test_step_tangent_of_stacked_states_with_one_shared_v_is_each_row_s(kind, n_
             state, av = cell.step_tangent(x[i], z[i], V)
             assert np.allclose(states[i], state, rtol=1e-13, atol=1e-15)
             assert np.allclose(AV[i], av, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the blocked reverse pass
+# ---------------------------------------------------------------------------
+
+# The blocked pass and the per-step oracle form the same products and differ
+# only in rounding: the LSTM's dpre is dc~ (a sigma') where the oracle takes
+# (dc~ a) sigma', and a block's weight gradients are one sum over its (step,
+# sequence) pairs where the oracle adds them step by step.  So each term
+# differs by a few ulp, and a gradient summed over at most 2L + 3 = 259 steps
+# of these contracting cells by at most about 259 * 2.2e-16 = 6e-14 of its
+# largest entry; the largest difference seen is 1.4e-15.
+BLOCKED_PASS_RTOL = 1e-13
+
+# (sequences, stacked points or None): L = 128, 16 and 1 under a shared
+# theta, 8 and 1 under a stacked one
+BLOCKED_PASS_ROWS = [(1, None), (8, None), (128, None), (3, 5), (2, 70)]
+
+
+def _blocked_pass_run(kind, n_input, bias, n_seq, n_points, horizon, rng):
+    readout = "linear" if n_input else "identity"
+    cell = make_cell(kind, 3, n_input=n_input, bias=bias, readout=readout, n_output=2,
+                     init_seed=7)
+    rows = (n_seq,)
+    if n_points is not None:
+        cell = cell.with_params(cell.params.values * rng.uniform(0.5, 1.5, (n_points, 1)))
+        rows += (n_points,)
+    x0 = 0.5 * rng.standard_normal(rows + (cell.state_dim,))
+    run = rollout(cell, x0, rng.standard_normal((horizon,) + rows + (n_input,)))
+    return cell, run, rng.standard_normal(run.outputs.shape)
+
+
+@pytest.mark.parametrize("n_seq, n_points", BLOCKED_PASS_ROWS)
+@pytest.mark.parametrize("n_input, bias", [(2, True), (0, False)])
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+def test_blocked_reverse_pass_matches_the_per_step_loop(kind, n_input, bias, n_seq, n_points):
+    rng = np.random.default_rng(29)
+    L = max(1, BACKWARD_BLOCK // (n_seq * (n_points or 1)))
+    for horizon in sorted({1, L, L + 1, 2 * L + 3}):
+        cell, run, dY = _blocked_pass_run(kind, n_input, bias, n_seq, n_points, horizon, rng)
+        got, want = cell.backward_batch(run, dY), backward_by_step(cell, run, dY)
+        assert got.shape == want.shape == cell.params.values.shape
+        assert rel_err(got, want) <= BLOCKED_PASS_RTOL, horizon
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "lstm", "slstm", "ornn"])
+def test_a_row_that_diverges_mid_block_leaves_the_other_rows_exact(kind):
+    # rows = 2 sequences x 5 points gives L = 12: the NaN input at step 17 of
+    # point 2 in the first sequence lies inside a block
+    rng = np.random.default_rng(31)
+    cell, run, dY = _blocked_pass_run(kind, 2, True, 2, 5, 1, rng)
+    inputs = rng.standard_normal((40, 2, 5, 2))
+    inputs[17, 0, 2] = np.nan
+    run = rollout(cell, 0.5 * rng.standard_normal((2, 5, cell.state_dim)), inputs)
+    assert run.diverged_at.tolist() == [[-1, -1, 18, -1, -1], [-1] * 5]
+    dY = run.outputs - rng.standard_normal(run.outputs.shape)  # NaN where the output is
+    want = backward_by_step(cell, run, dY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = cell.backward_batch(run, dY)
+    assert np.isnan(got[2]).all()
+    keep = [0, 1, 3, 4]
+    assert np.isfinite(got[keep]).all()
+    assert rel_err(got[keep], want[keep]) <= BLOCKED_PASS_RTOL
+
+
+def test_the_reverse_pass_builds_one_block_of_coefficients_per_l_steps(monkeypatch):
+    """One sequence of T steps: ceil((T - 1) / L) blocks with L = 128; a
+    batch of at least 128 sequences: one per step, so training's GEMMs keep
+    their per-step shapes; 41 stacked points: L = 3."""
+    calls = {"coefficients": 0}
+    coefficients = LstmCell._adjoint_coefficients
+
+    def counted(self, *args):
+        calls["coefficients"] += 1
+        return coefficients(self, *args)
+
+    monkeypatch.setattr(LstmCell, "_adjoint_coefficients", counted)
+    assert BACKWARD_BLOCK == 128
+    rng = np.random.default_rng(37)
+    cell = make_cell("lstm", 3, n_input=1, init_seed=2)
+    for n_seq, T, blocks in [(1, 300, 3), (1, 129, 1), (1, 130, 2), (128, 20, 19),
+                             (200, 20, 19)]:
+        calls.update(coefficients=0)
+        gradient(cell, [Sequence(rng.standard_normal((T, 1)), rng.standard_normal(T))
+                        for _ in range(n_seq)])
+        assert calls == {"coefficients": blocks}, (n_seq, T)
+    calls.update(coefficients=0)
+    thetas = cell.params.values * np.linspace(0.5, 1.5, 41)[:, None]
+    cost_and_gradient_reverse(cell.with_params(thetas),
+                              Sequence(rng.standard_normal((20, 1)), rng.standard_normal(20)))
+    assert calls == {"coefficients": 7}
 
 
 # ---------------------------------------------------------------------------
